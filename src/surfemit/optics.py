@@ -28,6 +28,7 @@ through the product k0 * x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,11 @@ class InterfaceConfig:
     lambda0_nm: float
 
     def __post_init__(self):
-        if not self.n1 > 1.0:
-            raise ValueError(f"n1 must be > 1, got {self.n1}")
-        if not self.lambda0_nm > 0.0:
-            raise ValueError(f"lambda0_nm must be > 0, got {self.lambda0_nm}")
+        if not 1.0 < self.n1 < math.inf:
+            raise ValueError(f"n1 must be finite and > 1, got {self.n1}")
+        if not 0.0 < self.lambda0_nm < math.inf:
+            raise ValueError(
+                f"lambda0_nm must be finite and > 0, got {self.lambda0_nm}")
 
     @property
     def n2(self) -> float:
@@ -69,6 +71,18 @@ class InterfaceConfig:
     def xi_max(self) -> float:
         """Upper end of the evanescent xi range, sqrt(n1^2 - 1)."""
         return float(np.sqrt(self.n1 ** 2 - 1.0))
+
+
+def check_height(x_nm, name: str = "x_nm"):
+    """Reject an emitter height that is not a finite number >= 0.
+
+    x_nm may be a scalar or an array of heights.
+    """
+    x = np.asarray(x_nm, dtype=float)
+    bad = ~(np.isfinite(x) & (x >= 0.0))
+    if np.any(bad):
+        raise ValueError(f"{name} must be finite and nonnegative, got "
+                         f"{float(x[bad].flat[0])!r}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Integrated emission rates from the closed-form spectral kernels.
 
-Every rate is produced by one-dimensional adaptive quadrature of an
-azimuthally pre-integrated kernel in the out-of-plane mode coordinate
-xi.  The azimuthal integration is analytic: total rates depend on the
-dipole polarization only through |u_x|^2, side differences through
-Im(u_x* u_z), and the dielectric-output difference through
-Re(u_x* u_z).  `oracle_integrate` deliberately avoids all of that and
-performs the raw two-dimensional quadrature over the angular densities
-of the density module; it exists solely to cross-check the closed
-forms.
+Every rate is assembled from four height-dependent integrals of
+azimuthally pre-integrated kernels in the out-of-plane mode coordinate
+xi, plus four cached static moments.  The azimuthal integration is
+analytic: total rates depend on the dipole polarization only through
+|u_x|^2, side differences through Im(u_x* u_z), and the
+dielectric-output difference through Re(u_x* u_z).  A single height
+uses the adaptive integrator; `rate_columns` evaluates a whole sweep on
+shared fixed rules with the same error test.  `oracle_integrate`
+deliberately avoids all of that and performs the raw two-dimensional
+quadrature over the angular densities of the density module; it exists
+solely to cross-check the closed forms.
 
 Conventions: rates in units of the free-space rate, distances in nm,
 "plus"/"minus" refer to emission into the z > 0 / z < 0 half-spaces.
@@ -16,14 +18,15 @@ Conventions: rates in units of the free-space rate, distances in nm,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .density import DipolePolarization, f_evan, f_rad
 from .optics import InterfaceConfig, axis_coefficients, fresnel, transmittance
-from .quadrature import (QuadratureSpec, integrate, integrate_evanescent,
+from .quadrature import (QuadratureSpec, batch_evanescent, batch_radiation,
+                         height_chunks, integrate, integrate_evanescent,
                          integrate_radiation)
 
 _ZETA_FLOOR = 1e-12
@@ -80,18 +83,8 @@ class RateReport:
     zeta_rad: float | None
     zeta_total: float | None
 
-    COLUMNS = (
-        "gamma_evan", "gamma_rad", "gamma_total",
-        "delta_evan", "delta_rad", "delta_total",
-        "gamma_evan_plus", "gamma_evan_minus",
-        "gamma_rad_plus", "gamma_rad_minus",
-        "gamma_plus", "gamma_minus",
-        "gamma_rad_mat", "gamma_rad_vac",
-        "delta_rad_mat", "delta_rad_vac",
-        "gamma_rad_mat_plus", "gamma_rad_mat_minus",
-        "gamma_rad_vac_plus", "gamma_rad_vac_minus",
-        "zeta_evan", "zeta_rad", "zeta_total",
-    )
+
+RateReport.COLUMNS = tuple(f.name for f in fields(RateReport))
 
 
 def _ux2(dip: DipolePolarization) -> float:
@@ -106,6 +99,103 @@ def _re_xz(dip: DipolePolarization) -> float:
     return float(np.real(np.conj(dip.u[0]) * dip.u[2]))
 
 
+def _coefficients(cfg: InterfaceConfig, xi, branch: str):
+    """(c_s, c_p, sq) at xi: (T_s, T_p, xi^2) on the evanescent branch,
+    (r_s, r_p, -xi^2) on the radiation branch."""
+    if branch == "evanescent":
+        t_s, t_p = transmittance(cfg, xi)
+        return t_s, t_p, xi ** 2
+    r_s, r_p = fresnel(cfg, xi)
+    return r_s, r_p, -xi ** 2
+
+
+def _rate_kernel(ux2: float, xi, coef):
+    """Total-rate kernel of either branch,
+    (1-|u_x|^2) c_s + [|u_x|^2 (2 + sq) + sq] c_p."""
+    c_s, c_p, sq = coef
+    return (1.0 - ux2) * c_s + (ux2 * (2.0 + sq) + sq) * c_p
+
+
+def _side_kernel(ux2: float, xi, coef):
+    """Side-difference kernel of either branch, xi sqrt(1 + sq) c_p."""
+    _, c_p, sq = coef
+    return xi * np.sqrt(np.maximum(1.0 + sq, 0.0)) * c_p
+
+
+def _decay(phase):
+    return np.exp(-phase)
+
+
+# The four height-dependent integrals, in the order rate_report takes
+# them: name -> (branch, factor of the phase 2 k0 x xi, kernel).
+_INTEGRALS = {
+    "evan": ("evanescent", _decay, _rate_kernel),
+    "osc": ("radiation", np.cos, _rate_kernel),
+    "delta_evan": ("evanescent", _decay, _side_kernel),
+    "delta_rad": ("radiation", np.sin, _side_kernel),
+}
+_BATCH_ROUTES = {"evanescent": batch_evanescent,
+                 "radiation": batch_radiation}
+
+
+def _integral(cfg: InterfaceConfig, ux2: float, x_nm: float,
+              quad: QuadratureSpec, name: str) -> float:
+    """One of the _INTEGRALS at one height, by the adaptive route."""
+    branch, factor, kernel = _INTEGRALS[name]
+    two_k0x = 2.0 * cfg.k0_nm * x_nm
+
+    def g(xi):
+        return factor(two_k0x * xi) * kernel(
+            ux2, xi, _coefficients(cfg, xi, branch))
+
+    route = (integrate_evanescent if branch == "evanescent"
+             else integrate_radiation)
+    return route(cfg, g, x_nm, quad)
+
+
+def _zeta(delta, gamma):
+    """delta/gamma, undefined (as opposed to zero) where |gamma| < 1e-12:
+    None for one height, NaN cells for an array of heights."""
+    gamma = np.asarray(gamma, dtype=float)
+    defined = np.abs(gamma) >= _ZETA_FLOOR
+    if gamma.ndim == 0:
+        return float(delta / gamma) if defined else None
+    return np.where(defined, delta / np.where(defined, gamma, 1.0), np.nan)
+
+
+def _columns(cfg: InterfaceConfig, dip: DipolePolarization,
+             quad: QuadratureSpec, evan, osc, delta_evan, delta_rad) -> tuple:
+    """Every RateReport field, in field order, from the four integrals
+    (floats, or arrays over heights) and the static moments."""
+    g_evan = 0.75 * evan
+    osc = 0.75 * osc
+    g_rad = 1.0 + osc
+    g_tot = g_evan + g_rad
+
+    pref = 6.0 / np.pi
+    im_xz = _im_xz(dip)
+    d_evan = pref * im_xz * delta_evan
+    d_rad = pref * im_xz * delta_rad
+    d_tot = d_evan + d_rad
+
+    ux2 = _ux2(dip)
+    m_s, m_p2, m_px, j_p = _static_moments(cfg, quad)
+    static = (1.0 - ux2) * m_s + ux2 * m_p2 + m_px
+    g_mat = 0.5 - 0.375 * static
+    g_vac = 0.5 + 0.375 * static + osc
+    d_mat = (1.0 / np.pi) * _re_xz(dip) * (1.0 - 3.0 * j_p)
+    d_vac = -d_mat + d_rad
+
+    return (g_evan, g_rad, g_tot, d_evan, d_rad, d_tot,
+            0.5 * (g_evan + d_evan), 0.5 * (g_evan - d_evan),
+            0.5 * (g_rad + d_rad), 0.5 * (g_rad - d_rad),
+            0.5 * (g_tot + d_tot), 0.5 * (g_tot - d_tot),
+            g_mat, g_vac, d_mat, d_vac,
+            0.5 * (g_mat + d_mat), 0.5 * (g_mat - d_mat),
+            0.5 * (g_vac + d_vac), 0.5 * (g_vac - d_vac),
+            _zeta(d_evan, g_evan), _zeta(d_rad, g_rad), _zeta(d_tot, g_tot))
+
+
 def gamma_evan(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
                quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Rate of emission into evanescent modes, all directions.
@@ -113,86 +203,25 @@ def gamma_evan(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
     (3/4) * integral over xi in [0, sqrt(n1^2-1)] of
     {(1-|u_x|^2) T_s + [|u_x|^2 (2+xi^2) + xi^2] T_p} e^{-2 xi k0 x}.
     """
-    if x_nm < 0.0:
-        raise ValueError("x_nm must be nonnegative")
-    ux2 = _ux2(dip)
-    two_k0x = 2.0 * cfg.k0_nm * x_nm
-
-    def kernel(xi):
-        t_s, t_p = transmittance(cfg, xi)
-        return np.exp(-two_k0x * xi) * (
-            (1.0 - ux2) * t_s + (ux2 * (2.0 + xi ** 2) + xi ** 2) * t_p)
-
-    return 0.75 * integrate_evanescent(cfg, kernel, x_nm, quad)
-
-
-def _radiation_interference(cfg: InterfaceConfig, dip: DipolePolarization,
-                            x_nm: float, quad: QuadratureSpec) -> float:
-    """The oscillatory integral gamma_rad - 1 (emitted/reflected
-    interference): (3/4) * integral over xi in [0, 1] of
-    {(1-|u_x|^2) r_s + [|u_x|^2 (2-xi^2) - xi^2] r_p} cos(2 xi k0 x)."""
-    ux2 = _ux2(dip)
-    two_k0x = 2.0 * cfg.k0_nm * x_nm
-
-    def kernel(xi):
-        r_s, r_p = fresnel(cfg, xi)
-        return np.cos(two_k0x * xi) * (
-            (1.0 - ux2) * r_s + (ux2 * (2.0 - xi ** 2) - xi ** 2) * r_p)
-
-    return 0.75 * integrate_radiation(cfg, kernel, x_nm, quad)
+    return 0.75 * _integral(cfg, _ux2(dip), x_nm, quad, "evan")
 
 
 def gamma_rad(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
               quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Rate of emission into radiation modes, all directions."""
-    if x_nm < 0.0:
-        raise ValueError("x_nm must be nonnegative")
-    return 1.0 + _radiation_interference(cfg, dip, x_nm, quad)
+    """Rate of emission into radiation modes, all directions.
+
+    1 + (3/4) * integral over xi in [0, 1] of
+    {(1-|u_x|^2) r_s + [|u_x|^2 (2-xi^2) - xi^2] r_p} cos(2 xi k0 x),
+    the free-space rate plus the emitted/reflected interference.
+    """
+    return 1.0 + 0.75 * _integral(cfg, _ux2(dip), x_nm, quad, "osc")
 
 
 def gamma_total(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
                 quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Total emission rate, evaluated directly from both xi kernels."""
-    if x_nm < 0.0:
-        raise ValueError("x_nm must be nonnegative")
-    ux2 = _ux2(dip)
-    two_k0x = 2.0 * cfg.k0_nm * x_nm
-
-    def evan_kernel(xi):
-        t_s, t_p = transmittance(cfg, xi)
-        return np.exp(-two_k0x * xi) * (
-            (1.0 - ux2) * t_s + (ux2 * (2.0 + xi ** 2) + xi ** 2) * t_p)
-
-    def rad_kernel(xi):
-        r_s, r_p = fresnel(cfg, xi)
-        return np.cos(two_k0x * xi) * (
-            (1.0 - ux2) * r_s + (ux2 * (2.0 - xi ** 2) - xi ** 2) * r_p)
-
-    return (1.0 + 0.75 * integrate_evanescent(cfg, evan_kernel, x_nm, quad)
-            + 0.75 * integrate_radiation(cfg, rad_kernel, x_nm, quad))
-
-
-def _delta_evan_moment(cfg: InterfaceConfig, x_nm: float,
-                       quad: QuadratureSpec) -> float:
-    two_k0x = 2.0 * cfg.k0_nm * x_nm
-
-    def kernel(xi):
-        _, t_p = transmittance(cfg, xi)
-        return xi * np.sqrt(1.0 + xi ** 2) * t_p * np.exp(-two_k0x * xi)
-
-    return integrate_evanescent(cfg, kernel, x_nm, quad)
-
-
-def _delta_rad_moment(cfg: InterfaceConfig, x_nm: float,
-                      quad: QuadratureSpec) -> float:
-    two_k0x = 2.0 * cfg.k0_nm * x_nm
-
-    def kernel(xi):
-        _, r_p = fresnel(cfg, xi)
-        return xi * np.sqrt(np.maximum(1.0 - xi ** 2, 0.0)) * r_p * np.sin(
-            two_k0x * xi)
-
-    return integrate_radiation(cfg, kernel, x_nm, quad)
+    """Total emission rate, the sum of both channels."""
+    return (gamma_evan(cfg, dip, x_nm, quad)
+            + gamma_rad(cfg, dip, x_nm, quad))
 
 
 def delta_rates(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
@@ -202,24 +231,18 @@ def delta_rates(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
     Each is the z > 0 rate minus the z < 0 rate for its channel; all
     three are proportional to Im(u_x* u_z).
     """
-    if x_nm < 0.0:
-        raise ValueError("x_nm must be nonnegative")
     pref = (6.0 / np.pi) * _im_xz(dip)
-    d_evan = pref * _delta_evan_moment(cfg, x_nm, quad)
-    d_rad = pref * _delta_rad_moment(cfg, x_nm, quad)
+    d_evan = pref * _integral(cfg, 0.0, x_nm, quad, "delta_evan")
+    d_rad = pref * _integral(cfg, 0.0, x_nm, quad, "delta_rad")
     return d_evan, d_rad, d_evan + d_rad
 
 
 def side_rates(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
                quad: QuadratureSpec = QuadratureSpec()):
     """Half-space resolved rates (evan+, evan-, rad+, rad-, total+, total-)."""
-    g_evan = gamma_evan(cfg, dip, x_nm, quad)
-    g_rad = gamma_rad(cfg, dip, x_nm, quad)
-    d_evan, d_rad, d_tot = delta_rates(cfg, dip, x_nm, quad)
-    g_tot = g_evan + g_rad
-    return (0.5 * (g_evan + d_evan), 0.5 * (g_evan - d_evan),
-            0.5 * (g_rad + d_rad), 0.5 * (g_rad - d_rad),
-            0.5 * (g_tot + d_tot), 0.5 * (g_tot - d_tot))
+    r = rate_report(cfg, dip, x_nm, quad)
+    return (r.gamma_evan_plus, r.gamma_evan_minus, r.gamma_rad_plus,
+            r.gamma_rad_minus, r.gamma_plus, r.gamma_minus)
 
 
 @lru_cache(maxsize=64)
@@ -264,29 +287,13 @@ def gamma_mat_vac(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
     of the emitter height; the vacuum-output pair carries the whole
     interference oscillation and the whole spin-driven asymmetry.
     """
-    if x_nm < 0.0:
-        raise ValueError("x_nm must be nonnegative")
     ux2 = _ux2(dip)
-    m_s, m_p2, m_px, j_p = _static_moments(cfg, quad)
-    static = (1.0 - ux2) * m_s + ux2 * m_p2 + m_px
-    g_mat = 0.5 - 0.375 * static
-    g_vac = 0.5 + 0.375 * static + _radiation_interference(cfg, dip, x_nm, quad)
-    d_mat = (1.0 / np.pi) * _re_xz(dip) * (1.0 - 3.0 * j_p)
-    d_vac = -d_mat + (6.0 / np.pi) * _im_xz(dip) * _delta_rad_moment(
-        cfg, x_nm, quad)
-    return MaterialVacuumSplit(
-        gamma_rad_mat=g_mat, gamma_rad_vac=g_vac,
-        delta_rad_mat=d_mat, delta_rad_vac=d_vac,
-        gamma_rad_mat_plus=0.5 * (g_mat + d_mat),
-        gamma_rad_mat_minus=0.5 * (g_mat - d_mat),
-        gamma_rad_vac_plus=0.5 * (g_vac + d_vac),
-        gamma_rad_vac_minus=0.5 * (g_vac - d_vac))
-
-
-def _zeta(delta: float, gamma: float) -> float | None:
-    if abs(gamma) < _ZETA_FLOOR:
-        return None
-    return delta / gamma
+    # the split involves neither evanescent integral
+    values = dict(zip(RateReport.COLUMNS, _columns(
+        cfg, dip, quad, 0.0, _integral(cfg, ux2, x_nm, quad, "osc"), 0.0,
+        _integral(cfg, ux2, x_nm, quad, "delta_rad"))))
+    return MaterialVacuumSplit(**{f.name: float(values[f.name])
+                                  for f in fields(MaterialVacuumSplit)})
 
 
 def asymmetry(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
@@ -296,55 +303,65 @@ def asymmetry(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
     A factor is None (undefined, as opposed to zero) when its
     denominator is smaller than 1e-12.
     """
-    g_evan = gamma_evan(cfg, dip, x_nm, quad)
-    g_rad = gamma_rad(cfg, dip, x_nm, quad)
-    d_evan, d_rad, d_tot = delta_rates(cfg, dip, x_nm, quad)
-    return (_zeta(d_evan, g_evan), _zeta(d_rad, g_rad),
-            _zeta(d_tot, g_evan + g_rad))
+    r = rate_report(cfg, dip, x_nm, quad)
+    return r.zeta_evan, r.zeta_rad, r.zeta_total
 
 
 def rate_report(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
                 quad: QuadratureSpec = QuadratureSpec()) -> RateReport:
     """Assemble the full RateReport at one emitter height."""
-    if x_nm < 0.0:
-        raise ValueError("x_nm must be nonnegative")
-    g_evan = gamma_evan(cfg, dip, x_nm, quad)
-    osc = _radiation_interference(cfg, dip, x_nm, quad)
-    g_rad = 1.0 + osc
-    g_tot = g_evan + g_rad
-
-    pref = 6.0 / np.pi
-    im_xz = _im_xz(dip)
-    d_evan = pref * im_xz * _delta_evan_moment(cfg, x_nm, quad)
-    d_rad = pref * im_xz * _delta_rad_moment(cfg, x_nm, quad)
-    d_tot = d_evan + d_rad
-
     ux2 = _ux2(dip)
-    m_s, m_p2, m_px, j_p = _static_moments(cfg, quad)
-    static = (1.0 - ux2) * m_s + ux2 * m_p2 + m_px
-    g_mat = 0.5 - 0.375 * static
-    g_vac = 0.5 + 0.375 * static + osc
-    d_mat = (1.0 / np.pi) * _re_xz(dip) * (1.0 - 3.0 * j_p)
-    d_vac = -d_mat + d_rad
+    values = _columns(cfg, dip, quad, *(
+        _integral(cfg, ux2, x_nm, quad, name) for name in _INTEGRALS))
+    return RateReport(*values)
 
-    return RateReport(
-        gamma_evan=g_evan, gamma_rad=g_rad, gamma_total=g_tot,
-        delta_evan=d_evan, delta_rad=d_rad, delta_total=d_tot,
-        gamma_evan_plus=0.5 * (g_evan + d_evan),
-        gamma_evan_minus=0.5 * (g_evan - d_evan),
-        gamma_rad_plus=0.5 * (g_rad + d_rad),
-        gamma_rad_minus=0.5 * (g_rad - d_rad),
-        gamma_plus=0.5 * (g_tot + d_tot),
-        gamma_minus=0.5 * (g_tot - d_tot),
-        gamma_rad_mat=g_mat, gamma_rad_vac=g_vac,
-        delta_rad_mat=d_mat, delta_rad_vac=d_vac,
-        gamma_rad_mat_plus=0.5 * (g_mat + d_mat),
-        gamma_rad_mat_minus=0.5 * (g_mat - d_mat),
-        gamma_rad_vac_plus=0.5 * (g_vac + d_vac),
-        gamma_rad_vac_minus=0.5 * (g_vac - d_vac),
-        zeta_evan=_zeta(d_evan, g_evan),
-        zeta_rad=_zeta(d_rad, g_rad),
-        zeta_total=_zeta(d_tot, g_tot))
+
+def rate_columns(cfg: InterfaceConfig, dip: DipolePolarization, xs,
+                 quad: QuadratureSpec = QuadratureSpec()):
+    """RateReport columns at every height of xs (ascending) by shared rules.
+
+    Heights are split into runs (quadrature.height_chunks).  For each
+    run and branch the x-independent kernels are evaluated once on a
+    15/31 panel rule sized for the run's largest height; each height
+    enters only through its row of e^{-2 k0 x xi}, cos or sin factors.
+
+    Returns (columns, passed): columns has one row per height and the
+    columns of RateReport.COLUMNS, NaN where an asymmetry factor is
+    undefined; passed is False where any of the four integrals missed
+    the error target max(atol, rtol |I|), and those rows must be taken
+    from rate_report instead.
+    """
+    ux2 = _ux2(dip)
+    two_k0x = 2.0 * cfg.k0_nm * np.asarray(xs, dtype=float)
+    integrals = np.empty((len(_INTEGRALS), two_k0x.size))
+    passed = np.ones(two_k0x.size, dtype=bool)
+    for branch, route in _BATCH_ROUTES.items():
+        picks = [i for i, spec in enumerate(_INTEGRALS.values())
+                 if spec[0] == branch]
+        for rows in height_chunks(two_k0x):
+            run = two_k0x[rows, None]
+            values, ok = route(cfg, _stacked_integrand(cfg, ux2, branch, run),
+                               run[-1, 0], len(picks) * run.shape[0], quad)
+            integrals[picks, rows] = values
+            passed[rows] &= ok.all(axis=0)
+    columns = np.broadcast_arrays(*_columns(cfg, dip, quad, *integrals))
+    return np.column_stack(columns), passed
+
+
+def _stacked_integrand(cfg: InterfaceConfig, ux2: float, branch: str,
+                       two_k0x):
+    """The branch's _INTEGRALS at a column of heights: xi -> array of
+    shape (integral, height, xi), from one optics evaluation."""
+    terms = [(factor, kernel) for b, factor, kernel in _INTEGRALS.values()
+             if b == branch]
+
+    def g(xi):
+        coef = _coefficients(cfg, xi, branch)
+        phase = two_k0x * xi
+        return np.stack([factor(phase) * kernel(ux2, xi, coef)
+                         for factor, kernel in terms])
+
+    return g
 
 
 def axis_rates(cfg: InterfaceConfig, x_nm: float,

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .density import (DensityBreakdown, DipolePolarization, critical_theta,
                       f_evan, f_rad, pattern)
-from .optics import InterfaceConfig
+from .optics import InterfaceConfig, check_height
 from .quadrature import QuadratureError, QuadratureSpec
-from .rates import RateReport, rate_report
+from .rates import RateReport, rate_columns, rate_report
 
 TABLE_MAGIC = "surfemit-table-v1"
 
@@ -69,8 +69,7 @@ class SweepRequest:
     def __post_init__(self):
         object.__setattr__(self, "x_nm",
                            tuple(float(x) for x in self.x_nm))
-        if any(x < 0.0 for x in self.x_nm):
-            raise ValueError("distances must be nonnegative")
+        check_height(self.x_nm)
         if self.grid_n < 16:
             raise ValueError("grid_n must be at least 16")
         if self.grid_extent is not None and not self.grid_extent > 0.0:
@@ -79,8 +78,7 @@ class SweepRequest:
             raise ValueError(f"plane must be 'xz' or 'xy', got {self.plane!r}")
         if self.n_angles < 4:
             raise ValueError("n_angles must be at least 4")
-        if self.x_fixed_nm < 0.0:
-            raise ValueError("x_fixed_nm must be nonnegative")
+        check_height(self.x_fixed_nm, "x_fixed_nm")
         if self.channels is not None:
             bad = set(self.channels) - set(GRID_CHANNELS)
             if bad:
@@ -92,6 +90,8 @@ class SweepRequest:
     @staticmethod
     def x_values(start: float, stop: float, step: float) -> tuple:
         """Inclusive arithmetic distance grid start:stop:step (nm)."""
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError("start, stop and step must be finite")
         if step <= 0.0:
             raise ValueError("step must be positive")
         if stop < start:
@@ -192,54 +192,45 @@ def _base_metadata(req: SweepRequest, kind: str) -> dict:
     }
 
 
-def _report_values(report: RateReport) -> list:
-    vals = []
-    for name in RateReport.COLUMNS:
-        v = getattr(report, name)
-        vals.append(math.nan if v is None else float(v))
-    return vals
-
-
 def sweep_rates(req: SweepRequest) -> ResultTable:
     """Full RateReport at every requested distance, one row per x.
 
+    All heights share fixed quadrature rules (rates.rate_columns); a
+    row that misses their error test is computed by rate_report alone.
     The status column is 0 for a clean row and 1 when the quadrature
     failed to converge there (rate cells are then NaN).
     """
-    columns = ("x_nm", "status") + RateReport.COLUMNS
-    rows = []
-    for x in sorted(req.x_nm):
+    xs = np.sort(np.asarray(req.x_nm, dtype=float))
+    values, passed = rate_columns(req.config, req.dipole, xs, req.quad)
+    status = np.zeros(xs.size)
+    for i in np.flatnonzero(~passed):
         try:
-            rows.append([x, 0.0] + _report_values(
-                rate_report(req.config, req.dipole, x, req.quad)))
+            report = rate_report(req.config, req.dipole, float(xs[i]),
+                                 req.quad)
+            values[i] = [math.nan if v is None else v
+                         for v in astuple(report)]
         except QuadratureError:
-            rows.append([x, 1.0] + [math.nan] * len(RateReport.COLUMNS))
+            values[i] = math.nan
+            status[i] = 1.0
     meta = _base_metadata(req, "rates")
-    meta["x_nm"] = list(sorted(req.x_nm))
-    return ResultTable(columns=columns, rows=np.array(rows).reshape(
-        -1, len(columns)), metadata=meta)
+    meta["x_nm"] = xs.tolist()
+    return ResultTable(columns=("x_nm", "status") + RateReport.COLUMNS,
+                       rows=np.column_stack([xs, status, values]),
+                       metadata=meta)
 
 
-_ASYMMETRY_FIELDS = ("delta_evan", "delta_rad", "delta_total",
-                     "zeta_evan", "zeta_rad", "zeta_total")
+_ASYMMETRY_COLUMNS = ("x_nm", "status", "delta_evan", "delta_rad",
+                      "delta_total", "zeta_evan", "zeta_rad", "zeta_total")
 
 
 def sweep_asymmetry(req: SweepRequest) -> ResultTable:
-    """Side differences and asymmetry factors at every distance."""
-    columns = ("x_nm", "status") + _ASYMMETRY_FIELDS
-    rows = []
-    for x in sorted(req.x_nm):
-        try:
-            report = rate_report(req.config, req.dipole, x, req.quad)
-            vals = [getattr(report, name) for name in _ASYMMETRY_FIELDS]
-            rows.append([x, 0.0] + [math.nan if v is None else float(v)
-                                    for v in vals])
-        except QuadratureError:
-            rows.append([x, 1.0] + [math.nan] * len(_ASYMMETRY_FIELDS))
-    meta = _base_metadata(req, "asymmetry")
-    meta["x_nm"] = list(sorted(req.x_nm))
-    return ResultTable(columns=columns, rows=np.array(rows).reshape(
-        -1, len(columns)), metadata=meta)
+    """Side differences and asymmetry factors at every distance: a
+    column subset of the sweep_rates table."""
+    full = sweep_rates(req)
+    return ResultTable(
+        columns=_ASYMMETRY_COLUMNS,
+        rows=np.column_stack([full.column(c) for c in _ASYMMETRY_COLUMNS]),
+        metadata=dict(full.metadata, table="asymmetry"))
 
 
 def grid_density(req: SweepRequest) -> ResultTable:

@@ -77,6 +77,24 @@ def test_bad_n1_rejected(capsys):
     assert "--n1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", "--x-nm=10,inf"],
+    ["rates", "--x-nm=0:1e400:1"],
+    ["rates", "--x-nm=10,nan"],
+    ["asymmetry", "--x-nm=nan:10:1"],
+    ["rates", "--n1=inf"],
+    ["rates", "--wavelength-nm=inf"],
+    ["density", "--x-nm=inf"],
+])
+def test_nonfinite_inputs_rejected(capsys, argv):
+    assert run(argv) == 1
+    res = capsys.readouterr()
+    assert res.out == ""
+    assert res.err.startswith("error:")
+    assert res.err.count("\n") == 1
+    assert "finite" in res.err
+
+
 def test_unknown_flag(capsys):
     assert run(["rates", "--bogus", "1"]) == 1
     capsys.readouterr()

@@ -15,6 +15,12 @@ def test_config_validation():
         InterfaceConfig(n1=0.9, lambda0_nm=852.0)
     with pytest.raises(ValueError):
         InterfaceConfig(n1=1.45, lambda0_nm=-1.0)
+    for n1 in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="n1 must be finite"):
+            InterfaceConfig(n1=n1, lambda0_nm=852.0)
+    for lam in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="lambda0_nm must be finite"):
+            InterfaceConfig(n1=1.45, lambda0_nm=lam)
 
 
 def test_config_derived_quantities(cfg):

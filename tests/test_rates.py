@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,20 @@ def test_negative_distance_rejected(cfg):
     dip = DipolePolarization.from_preset("x")
     with pytest.raises(ValueError, match="nonnegative"):
         gamma_evan(cfg, dip, -5.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-9])
+@pytest.mark.parametrize("rate", [
+    gamma_evan, gamma_rad, gamma_total, delta_rates, side_rates,
+    gamma_mat_vac, asymmetry, rate_report,
+    lambda cfg, dip, x: axis_rates(cfg, x),
+    lambda cfg, dip, x: oracle_integrate(cfg, dip, x, "rad"),
+])
+def test_public_rates_reject_bad_heights(cfg, rate, x):
+    dip = DipolePolarization.from_preset("eps-xz")
+    with pytest.raises(ValueError, match="x_nm must be finite and "
+                                         "nonnegative"):
+        rate(cfg, dip, x)
 
 
 def test_total_is_sum_of_channels(cfg, rng):

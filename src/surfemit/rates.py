@@ -134,8 +134,9 @@ _INTEGRALS = {
     "delta_evan": ("evanescent", _decay, _side_kernel),
     "delta_rad": ("radiation", np.sin, _side_kernel),
 }
-_BATCH_ROUTES = {"evanescent": batch_evanescent,
-                 "radiation": batch_radiation}
+# branch -> (adaptive integrator, batch integrator)
+_ROUTES = {"evanescent": (integrate_evanescent, batch_evanescent),
+           "radiation": (integrate_radiation, batch_radiation)}
 
 
 def _integral(cfg: InterfaceConfig, ux2: float, x_nm: float,
@@ -148,9 +149,7 @@ def _integral(cfg: InterfaceConfig, ux2: float, x_nm: float,
         return factor(two_k0x * xi) * kernel(
             ux2, xi, _coefficients(cfg, xi, branch))
 
-    route = (integrate_evanescent if branch == "evanescent"
-             else integrate_radiation)
-    return route(cfg, g, x_nm, quad)
+    return _ROUTES[branch][0](cfg, g, x_nm, quad)
 
 
 def _zeta(delta, gamma):
@@ -335,12 +334,12 @@ def rate_columns(cfg: InterfaceConfig, dip: DipolePolarization, xs,
     two_k0x = 2.0 * cfg.k0_nm * np.asarray(xs, dtype=float)
     integrals = np.empty((len(_INTEGRALS), two_k0x.size))
     passed = np.ones(two_k0x.size, dtype=bool)
-    for branch, route in _BATCH_ROUTES.items():
+    for branch, (_, batch) in _ROUTES.items():
         picks = [i for i, spec in enumerate(_INTEGRALS.values())
                  if spec[0] == branch]
         for rows in height_chunks(two_k0x):
             run = two_k0x[rows, None]
-            values, ok = route(cfg, _stacked_integrand(cfg, ux2, branch, run),
+            values, ok = batch(cfg, _stacked_integrand(cfg, ux2, branch, run),
                                run[-1, 0], len(picks) * run.shape[0], quad)
             integrals[picks, rows] = values
             passed[rows] &= ok.all(axis=0)

@@ -137,6 +137,20 @@ def _pick(args, file_cfg: dict, key: str, fallback):
     return fallback
 
 
+def _number(args, file_cfg: dict, key: str, fallback, kind=float):
+    """A numeric setting, converted by kind; a value that does not
+    convert is a CliError naming its flag.  An optional setting (fallback
+    None) that is left unset stays None."""
+    value = _pick(args, file_cfg, key, fallback)
+    if value is None and fallback is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise CliError(f"--{key.replace('_', '-')}: expected a number, "
+                       f"got {value!r}") from None
+
+
 def _parse_dipole(text) -> DipolePolarization:
     text = str(text).strip()
     with warnings.catch_warnings():
@@ -195,8 +209,8 @@ def _parse_x_single(text) -> float:
 
 
 def _build_interface(args, file_cfg) -> InterfaceConfig:
-    n1 = float(_pick(args, file_cfg, "n1", 1.45))
-    lam = float(_pick(args, file_cfg, "wavelength_nm", 852.0))
+    n1 = _number(args, file_cfg, "n1", 1.45)
+    lam = _number(args, file_cfg, "wavelength_nm", 852.0)
     try:
         return InterfaceConfig(n1=n1, lambda0_nm=lam)
     except ValueError as exc:
@@ -205,12 +219,12 @@ def _build_interface(args, file_cfg) -> InterfaceConfig:
 
 def _build_quad(args, file_cfg) -> QuadratureSpec:
     defaults = QuadratureSpec()
+    rtol = _number(args, file_cfg, "rtol", defaults.rtol)
+    atol = _number(args, file_cfg, "atol", defaults.atol)
+    budget = _number(args, file_cfg, "max_subdivisions",
+                     defaults.max_subdivisions, int)
     try:
-        return QuadratureSpec(
-            rtol=float(_pick(args, file_cfg, "rtol", defaults.rtol)),
-            atol=float(_pick(args, file_cfg, "atol", defaults.atol)),
-            max_subdivisions=int(_pick(args, file_cfg, "max_subdivisions",
-                                       defaults.max_subdivisions)))
+        return QuadratureSpec(rtol=rtol, atol=atol, max_subdivisions=budget)
     except ValueError as exc:
         raise CliError(f"--rtol/--atol/--max-subdivisions: {exc}") from exc
 
@@ -221,6 +235,8 @@ def _emit(table: ResultTable, args, file_cfg) -> int:
         raise CliError(f"--format: must be csv or json, got {fmt!r}")
     text = table.to_csv() if fmt == "csv" else table.to_json()
     out = _pick(args, file_cfg, "out", None)
+    if out is not None and not isinstance(out, str):
+        raise CliError(f"--out: expected a path, got {out!r}")
     if out is None:
         sys.stdout.write(text)
     else:
@@ -240,7 +256,7 @@ def _dispatch(args) -> int:
     quad = _build_quad(args, file_cfg)
 
     if args.subcommand == "validate":
-        seed = int(_pick(args, file_cfg, "seed", DEFAULT_SEED))
+        seed = _number(args, file_cfg, "seed", DEFAULT_SEED, int)
         results = run_checks(cfg, quad, seed=seed)
         sys.stdout.write(format_report(results))
         return 0 if all(r.passed for r in results) else 2
@@ -257,8 +273,8 @@ def _dispatch(args) -> int:
         elif args.subcommand == "density":
             req = SweepRequest(
                 config=cfg, dipole=dipole, quad=quad,
-                grid_n=int(_pick(args, file_cfg, "grid_n", 64)),
-                grid_extent=_pick(args, file_cfg, "grid_extent", None),
+                grid_n=_number(args, file_cfg, "grid_n", 64, int),
+                grid_extent=_number(args, file_cfg, "grid_extent", None),
                 x_fixed_nm=_parse_x_single(_pick(args, file_cfg, "x_nm",
                                                  0.0)))
             table = grid_density(req)
@@ -266,11 +282,11 @@ def _dispatch(args) -> int:
             req = SweepRequest(
                 config=cfg, dipole=dipole, quad=quad,
                 plane=str(_pick(args, file_cfg, "plane", "xz")),
-                n_angles=int(_pick(args, file_cfg, "n_theta", 360)),
+                n_angles=_number(args, file_cfg, "n_theta", 360, int),
                 x_fixed_nm=_parse_x_single(_pick(args, file_cfg, "x_nm",
                                                  0.0)))
             table = scan_pattern(req)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     return _emit(table, args, file_cfg)
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vectens
-from .optics import InterfaceConfig, khat_cross_xhat, transmittance
+from .optics import (InterfaceConfig, _bounded, check_height, khat_cross_xhat,
+                     transmittance)
 
 _C8 = 3.0 / (8.0 * np.pi)
 _C4 = 3.0 / (4.0 * np.pi)
@@ -115,20 +116,6 @@ def _inplane_coupling(u, phi):
     return u[1] * np.cos(phi) + u[2] * np.sin(phi)
 
 
-def _evan_xi(cfg, xi):
-    x = np.asarray(xi, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > cfg.xi_max + 1e-12):
-        raise ValueError(f"evanescent xi must lie in [0, {cfg.xi_max}]")
-    return np.clip(x, 0.0, cfg.xi_max)
-
-
-def _rad_xi(xi):
-    x = np.asarray(xi, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise ValueError("radiation xi must lie in [0, 1]")
-    return np.clip(x, 0.0, 1.0)
-
-
 def f_evan(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi, x_nm: float):
     """Evanescent-channel angular densities (f_s, f_p, f_total).
 
@@ -146,7 +133,8 @@ def f_evan(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi, x_nm: float):
     tuple of arrays/floats
         (f_evan_s, f_evan_p, f_evan), each in gamma0 per (xi dxi dphi).
     """
-    xi = _evan_xi(cfg, xi)
+    check_height(x_nm)
+    xi = _bounded(xi, cfg.xi_max, "f_evan")
     phi = np.asarray(phi, dtype=float)
     u = dip.u
     n1sq = cfg.n1 ** 2
@@ -190,7 +178,8 @@ def f_rad(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
     (f_rad_s, f_rad_p, f_rad) and the output-resolved pair
     (f_rad_mat, f_rad_vac).  All fields broadcast over xi and phi.
     """
-    xi = _rad_xi(xi)
+    check_height(x_nm)
+    xi = _bounded(xi, 1.0, "f_rad")
     phi = np.asarray(phi, dtype=float)
     u = dip.u
     n1sq = cfg.n1 ** 2
@@ -241,16 +230,17 @@ def delta_f(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
     Closed forms; positive values mean more emission into azimuth phi
     than into the opposite one.
     """
+    check_height(x_nm)
     phi = np.asarray(phi, dtype=float)
     u = dip.u
     w = _inplane_coupling(u, phi)
     if channel == "evan":
-        xi = _evan_xi(cfg, xi)
+        xi = _bounded(xi, cfg.xi_max, "delta_f")
         _, t_p = transmittance(cfg, xi)
         damp = np.exp(-2.0 * cfg.k0_nm * x_nm * xi)
         return (3.0 / np.pi) * np.sqrt(1.0 + xi ** 2) * t_p * damp * np.imag(
             np.conj(u[0]) * w)
-    xi = _rad_xi(xi)
+    xi = _bounded(xi, 1.0, "delta_f")
     n1sq = cfg.n1 ** 2
     eta = np.sqrt(n1sq - 1.0 + xi ** 2)
     r_p = (n1sq * xi - eta) / (n1sq * xi + eta)
@@ -369,24 +359,24 @@ def pattern(cfg: InterfaceConfig, dip: DipolePolarization, theta, phi,
     phi = np.asarray(phi, dtype=float)
     thc = critical_theta(cfg)
     n1sq = cfg.n1 ** 2
-    tol = 1e-12
+
+    def require(lo: float, hi: float, span: str):
+        # NaN theta fails both comparisons
+        if not np.all((theta >= lo - 1e-12) & (theta <= hi + 1e-12)):
+            raise ValueError(f"{zone} zone needs finite theta in [{span}]")
+
     if zone == "rad_vacuum":
-        if np.any(theta < -tol) or np.any(theta > np.pi / 2.0 + tol):
-            raise ValueError("rad_vacuum zone needs theta in [0, pi/2]")
+        require(0.0, np.pi / 2.0, "0, pi/2")
         xi = np.clip(np.cos(theta), 0.0, 1.0)
         f = f_rad(cfg, dip, xi, phi, x_nm).f_rad_vac
         return xi * f
     if zone == "evan_forbidden":
-        if np.any(theta < np.pi / 2.0 - tol) or np.any(theta > np.pi - thc + tol):
-            raise ValueError(
-                "evan_forbidden zone needs theta in [pi/2, pi - arcsin(1/n1)]")
+        require(np.pi / 2.0, np.pi - thc, "pi/2, pi - arcsin(1/n1)")
         xi = np.sqrt(np.maximum(n1sq * np.sin(theta) ** 2 - 1.0, 0.0))
         f = f_evan(cfg, dip, xi, phi, x_nm)[2]
         return -n1sq * np.cos(theta) * f
     if zone == "rad_material":
-        if np.any(theta < np.pi - thc - tol) or np.any(theta > np.pi + tol):
-            raise ValueError(
-                "rad_material zone needs theta in [pi - arcsin(1/n1), pi]")
+        require(np.pi - thc, np.pi, "pi - arcsin(1/n1), pi")
         xi = np.sqrt(np.maximum(1.0 - n1sq * np.sin(theta) ** 2, 0.0))
         f = f_rad(cfg, dip, xi, phi, x_nm).f_rad_mat
         return -n1sq * np.cos(theta) * f

@@ -123,10 +123,13 @@ class ModePoint:
 
 
 def _bounded(xi, hi: float, what: str):
-    """Validate xi in [0, hi], clamping roundoff overshoot within 1e-12."""
+    """Validate finite xi in [0, hi], clamping roundoff overshoot within
+    1e-12."""
     x = np.asarray(xi, dtype=float)
-    if np.any(x < -_EDGE_TOL) or np.any(x > hi + _EDGE_TOL):
-        raise ValueError(f"{what}: xi must lie in [0, {hi}], got {xi!r}")
+    inside = (x >= -_EDGE_TOL) & (x <= hi + _EDGE_TOL)
+    if not np.all(inside):
+        raise ValueError(f"{what}: xi must be finite and lie in [0, {hi}], "
+                         f"got {float(x[~inside].flat[0])!r}")
     return np.clip(x, 0.0, hi)
 
 

@@ -1,41 +1,39 @@
 """Adaptive Gauss-Legendre quadrature tuned for the rate integrals.
 
-A fixed 15/31-point Gauss-Legendre pair is evaluated on every panel;
-the high-order value is kept and the difference serves as the panel
-error estimate.  Panels are refined worst-first until the summed
-estimate meets the requested tolerance.  Integrands must be vectorized
-(ndarray in, ndarray out).
+One integrator serves a single integral and a stack of them.  A stack
+is a set of integrands, one row per integral and emitter height, that
+share one panel set.  A fixed 15/31-point Gauss-Legendre pair is
+evaluated on every panel; the high-order value is kept and the
+difference serves as the panel error estimate.  A row passes when its
+summed estimate is within max(atol, rtol * |integral|).  Each round,
+every row that misses asks for its worst panels, as many as carry its
+excess over that target, and every panel asked for is bisected for all
+rows in one vectorized evaluation.  A row is charged only for the
+panels it asked for, up to max_subdivisions.  Integrands must be
+vectorized (ndarray in, ndarray out).
 
-Two branch drivers wrap the generic integrator.  Both substitute the
-integration variable so that the square-root behavior at the upper
-endpoint (where the dielectric-side or vacuum-side propagation constant
-vanishes) becomes smooth, and the radiation driver seeds enough initial
-panels to resolve the interference oscillations at large emitter
-heights.
-
-The batch drivers integrate a stack of integrands, one row per emitter
-height, with the same 15/31 pair on one fixed panel set and apply the
-adaptive integrator's error test to each row: a row passes when its
-summed panel error is within max(atol, rtol * |integral|).  A row that
-fails is left to the adaptive route.
+The branch rule substitutes the integration variable so that the
+square-root behavior at the upper endpoint (where the dielectric-side
+or vacuum-side propagation constant vanishes) becomes smooth, and seeds
+panels that resolve the evanescent boundary layer and the radiation
+interference oscillations at large emitter heights.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import InterfaceConfig, check_height
+from .optics import InterfaceConfig
 
 _LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(31)
 _NODES = np.concatenate([_HI_NODES, _LO_NODES])
 
-# Most (row, node) pairs a batch evaluates at once.  It caps both the
-# rows that share one rule and each block of panels, so a sweep's
-# temporaries stay near 64 kB apiece whatever its heights.
+# Most (row, node) pairs the integrator evaluates at once.  It caps both
+# the rows that share one panel set and each block of panels, so the
+# temporaries of a stack stay near 64 kB apiece whatever its heights.
 BATCH_ELEMENTS = 2 ** 13
 
 
@@ -67,12 +65,66 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def _panel(f, a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    hi = half * float(np.dot(_HI_WEIGHTS, f(mid + half * _HI_NODES)))
-    lo = half * float(np.dot(_LO_WEIGHTS, f(mid + half * _LO_NODES)))
-    return hi, abs(hi - lo)
+def _rule(h, a: np.ndarray, b: np.ndarray, count: int):
+    """15/31 values and error estimates of count integrands on the
+    panels [a, b], each of shape (count, a.size), evaluated in blocks of
+    at most BATCH_ELEMENTS values."""
+    mids = 0.5 * (a + b)
+    halves = 0.5 * (b - a)
+    step = max(1, BATCH_ELEMENTS // (count * _NODES.size))
+    values, errors = [], []
+    for i in range(0, mids.size, step):
+        mid, half = mids[i:i + step], halves[i:i + step]
+        y = np.reshape(h((mid[:, None] + half[:, None] * _NODES).ravel()),
+                       (count, mid.size, _NODES.size))
+        hi = half * (y[..., :_HI_NODES.size] @ _HI_WEIGHTS)
+        lo = half * (y[..., _HI_NODES.size:] @ _LO_WEIGHTS)
+        values.append(hi)
+        errors.append(np.abs(hi - lo))
+    return np.concatenate(values, axis=1), np.concatenate(errors, axis=1)
+
+
+def integrate_rows(h, breakpoints, count: int,
+                   spec: QuadratureSpec = QuadratureSpec()):
+    """Adaptive integrals of a stack of integrands on one panel set.
+
+    h maps nodes t (1-D) to the values of count integrands, an array of
+    shape (..., t.size) with count elements per node; breakpoints are
+    the strictly increasing edges of the seed panels.  Returns (values,
+    errors, passed), each of shape (count,) in the row order of h;
+    passed is False for a row whose summed panel error is still above
+    max(atol, rtol * |value|) after max_subdivisions bisections.
+    """
+    pts = np.asarray(breakpoints, dtype=float)
+    if pts.ndim != 1 or pts.size < 2 or np.any(np.diff(pts) <= 0.0):
+        raise ValueError("breakpoints must be strictly increasing")
+    a, b = pts[:-1], pts[1:]
+    val, err = _rule(h, a, b, count)
+    charged = np.zeros(count, dtype=int)
+    while True:
+        value, error = val.sum(axis=1), err.sum(axis=1)
+        excess = error - np.maximum(spec.atol, spec.rtol * np.abs(value))
+        ask = np.flatnonzero((excess > 0.0)
+                             & (charged < spec.max_subdivisions))
+        if ask.size == 0:
+            return value, error, excess <= 0.0
+        # each asking row's worst panels, until they carry its excess
+        order = np.argsort(-err[ask], axis=1, kind="stable")
+        worst = np.take_along_axis(err[ask], order, axis=1)
+        picked = ((np.cumsum(worst, axis=1) - worst < excess[ask, None])
+                  & (np.arange(a.size)
+                     < (spec.max_subdivisions - charged[ask])[:, None]))
+        charged[ask] += picked.sum(axis=1)
+        split = np.zeros(a.size, dtype=bool)
+        split[order[picked]] = True
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_val, new_err = _rule(h, new_a, new_b, count)
+        a = np.concatenate([a[~split], new_a])
+        b = np.concatenate([b[~split], new_b])
+        val = np.concatenate([val[:, ~split], new_val], axis=1)
+        err = np.concatenate([err[:, ~split], new_err], axis=1)
 
 
 def integrate(f, breakpoints, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -92,63 +144,12 @@ def integrate(f, breakpoints, spec: QuadratureSpec = QuadratureSpec()) -> float:
         When the summed panel error cannot be brought below
         max(atol, rtol * |integral|) within the subdivision budget.
     """
-    pts = np.asarray(breakpoints, dtype=float)
-    if pts.ndim != 1 or pts.size < 2 or np.any(np.diff(pts) <= 0.0):
-        raise ValueError("breakpoints must be strictly increasing")
-    heap = []
-    seq = 0
-    toterr = 0.0
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, err = _panel(f, a, b)
-        heapq.heappush(heap, (-err, seq, a, b, val))
-        seq += 1
-        total += val
-        toterr += err
-    splits = 0
-    while toterr > max(spec.atol, spec.rtol * abs(total)):
-        if splits >= spec.max_subdivisions:
-            raise QuadratureError(
-                f"integral stalled at error {toterr:.3e} after {splits} "
-                f"panel subdivisions", total, toterr)
-        neg_err, _, a, b, val = heapq.heappop(heap)
-        total -= val
-        toterr += neg_err
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            v, e = _panel(f, lo, hi)
-            heapq.heappush(heap, (-e, seq, lo, hi, v))
-            seq += 1
-            total += v
-            toterr += e
-        splits += 1
-    # re-sum panel values to shed the rounding noise of the running total
-    return float(np.sum(np.asarray(sorted(item[4] for item in heap))))
-
-
-
-
-def _on_evanescent(cfg: InterfaceConfig, g):
-    """g(xi) over [0, sqrt(n1^2 - 1)] as a function of t in [0, pi/2].
-
-    xi = xi_max sin(t) keeps kernels containing sqrt(n1^2 - 1 - xi^2)
-    smooth at the upper endpoint.
-    """
-    xi_max = cfg.xi_max
-
-    def h(t):
-        return g(xi_max * np.sin(t)) * (xi_max * np.cos(t))
-
-    return h
-
-
-def _on_radiation(g):
-    """g(xi) over [0, 1] as a function of t in [0, pi/2], xi = sin(t)."""
-
-    def h(t):
-        return g(np.sin(t)) * np.cos(t)
-
-    return h
+    (value,), (error,), (passed,) = integrate_rows(f, breakpoints, 1, spec)
+    if not passed:
+        raise QuadratureError(
+            f"integral stalled at error {error:.3e} after "
+            f"{spec.max_subdivisions} panel subdivisions", value, error)
+    return float(value)
 
 
 def _radiation_panels(two_k0x):
@@ -157,45 +158,42 @@ def _radiation_panels(two_k0x):
     return np.ceil(np.asarray(two_k0x) / np.pi) + 1.0
 
 
-def _radiation_edges(two_k0x: float) -> np.ndarray:
-    n_panels = int(_radiation_panels(two_k0x))
-    return np.linspace(0.0, np.pi / 2.0, n_panels + 1)
+def branch_rule(cfg: InterfaceConfig, branch: str, g, two_k0x: float):
+    """(h, breakpoints) that integrate g(xi) over a branch for heights up
+    to 2 k0 x = two_k0x.
 
-
-def integrate_evanescent(cfg: InterfaceConfig, g, x_nm: float,
-                         spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of g(xi) over the evanescent branch [0, sqrt(n1^2 - 1)].
-
-    Substitutes xi = xi_max sin(t).  Extra panel edges resolve the
-    e^{-2 xi k0 x} boundary layer at large x.
+    The evanescent branch [0, sqrt(n1^2 - 1)] is mapped by
+    xi = xi_max sin(t); with d = 2 k0 x xi_max, edges at arcsin(c/d) for
+    c = 1, 2, 4, ... < d resolve the e^{-2 xi k0 x} boundary layer at
+    each scale, and every panel is then halved.  The radiation branch
+    [0, 1] is mapped by xi = sin(t) onto ceil(2 k0 x / pi) + 1 uniform
+    panels.  Both maps make sqrt(xi_max^2 - xi^2) smooth in t.
     """
-    check_height(x_nm)
-    edges = [0.0, np.pi / 2.0]
-    decay = 2.0 * cfg.k0_nm * x_nm * cfg.xi_max
-    if decay > 10.0:
-        edges.extend(float(np.arcsin(c / decay))
-                     for c in (1.0, 8.0, 64.0) if c / decay < 1.0)
-    return integrate(_on_evanescent(cfg, g), np.unique(edges), spec)
+    if branch == "evanescent":
+        scale = cfg.xi_max
+        decay = two_k0x * scale
+        scales = 2.0 ** np.arange(np.ceil(np.log2(max(decay, 1.0))))
+        edges = np.unique(np.concatenate(
+            [[0.0, np.pi / 2.0], np.arcsin(scales[scales < decay] / decay)]))
+        edges = np.sort(np.concatenate(
+            [edges, 0.5 * (edges[:-1] + edges[1:])]))
+    else:
+        scale = 1.0
+        edges = np.linspace(0.0, np.pi / 2.0,
+                            int(_radiation_panels(two_k0x)) + 1)
 
+    def h(t):
+        return g(scale * np.sin(t)) * (scale * np.cos(t))
 
-def integrate_radiation(cfg: InterfaceConfig, g, x_nm: float,
-                        spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of g(xi) over the radiation branch [0, 1].
-
-    Substitutes xi = sin(t), making sqrt(1 - xi^2) smooth, and seeds the
-    panels of _radiation_edges.
-    """
-    check_height(x_nm)
-    return integrate(_on_radiation(g),
-                     _radiation_edges(2.0 * cfg.k0_nm * x_nm), spec)
+    return h, edges
 
 
 def height_chunks(two_k0x: np.ndarray):
-    """Split ascending 2 k0 x values into runs that share one batch rule.
+    """Split ascending 2 k0 x values into runs that share one panel set.
 
     A run closes before its row count times the nodes of the radiation
-    rule for its largest height would pass BATCH_ELEMENTS; a single
-    row always makes a run.  Yields slices.
+    seed panels for its largest height would pass BATCH_ELEMENTS; a
+    single row always makes a run.  Yields slices.
     """
     panels = _radiation_panels(two_k0x)
     start = 0
@@ -205,54 +203,3 @@ def height_chunks(two_k0x: np.ndarray):
             start = stop
     if start < panels.size:
         yield slice(start, panels.size)
-
-
-def _fixed_rule(h, edges: np.ndarray, count: int, spec: QuadratureSpec):
-    """Integrals of a stack of integrands by the 15/31 pair on fixed panels.
-
-    h maps nodes t (1-D) to the values of count integrands, an array of
-    shape (..., t.size) with count elements per node.  Panels are
-    evaluated in blocks of at most BATCH_ELEMENTS values.  Returns
-    (values, passed), both of shape (...).
-    """
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    step = max(1, BATCH_ELEMENTS // (count * _NODES.size))
-    value = error = 0.0
-    for i in range(0, mids.size, step):
-        mid, half = mids[i:i + step], halves[i:i + step]
-        y = h((mid[:, None] + half[:, None] * _NODES).ravel())
-        y = y.reshape(y.shape[:-1] + (mid.size, _NODES.size))
-        hi = half * (y[..., :_HI_NODES.size] @ _HI_WEIGHTS)
-        lo = half * (y[..., _HI_NODES.size:] @ _LO_WEIGHTS)
-        value = value + hi.sum(axis=-1)
-        error = error + np.abs(hi - lo).sum(axis=-1)
-    return value, error <= np.maximum(spec.atol, spec.rtol * np.abs(value))
-
-
-def batch_evanescent(cfg: InterfaceConfig, g, two_k0x_max: float, count: int,
-                     spec: QuadratureSpec = QuadratureSpec()):
-    """Evanescent-branch integrals of count integrands, g(xi) -> array of
-    shape (..., xi.size).
-
-    The rule serves every height up to two_k0x_max: with
-    d = 2 k0 x_max xi_max, panel edges at arcsin(c/d) for c = 1, 2, 4,
-    ... < d resolve the e^{-2 xi k0 x} boundary layer at each scale, and
-    every panel is then halved.  Returns (values, passed).
-    """
-    decay = two_k0x_max * cfg.xi_max
-    scales = 2.0 ** np.arange(np.ceil(np.log2(max(decay, 1.0))))
-    scales = scales[scales < decay]
-    edges = np.unique(np.concatenate(
-        [[0.0, np.pi / 2.0], np.arcsin(scales / decay)]))
-    edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    return _fixed_rule(_on_evanescent(cfg, g), edges, count, spec)
-
-
-def batch_radiation(cfg: InterfaceConfig, g, two_k0x_max: float, count: int,
-                    spec: QuadratureSpec = QuadratureSpec()):
-    """Radiation-branch integrals of count integrands, g(xi) -> array of
-    shape (..., xi.size), on the panels integrate_radiation seeds for
-    two_k0x_max.  Returns (values, passed)."""
-    return _fixed_rule(_on_radiation(g), _radiation_edges(two_k0x_max),
-                       count, spec)

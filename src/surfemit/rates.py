@@ -6,8 +6,8 @@ xi, plus four cached static moments.  The azimuthal integration is
 analytic: total rates depend on the dipole polarization only through
 |u_x|^2, side differences through Im(u_x* u_z), and the
 dielectric-output difference through Re(u_x* u_z).  A single height
-uses the adaptive integrator; `rate_columns` evaluates a whole sweep on
-shared fixed rules with the same error test.  `oracle_integrate`
+and a whole sweep (`rate_columns`) go through the same adaptive
+integrator, a sweep as one stack of rows per branch.  `oracle_integrate`
 deliberately avoids all of that and performs the raw two-dimensional
 quadrature over the angular densities of the density module; it exists
 solely to cross-check the closed forms.
@@ -24,10 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from .density import DipolePolarization, f_evan, f_rad
-from .optics import InterfaceConfig, axis_coefficients, fresnel, transmittance
-from .quadrature import (QuadratureSpec, batch_evanescent, batch_radiation,
-                         height_chunks, integrate, integrate_evanescent,
-                         integrate_radiation)
+from .optics import (InterfaceConfig, axis_coefficients, check_height,
+                     fresnel, transmittance)
+from .quadrature import (BATCH_ELEMENTS, QuadratureSpec, branch_rule,
+                         height_chunks, integrate, integrate_rows)
 
 _ZETA_FLOOR = 1e-12
 
@@ -134,14 +134,19 @@ _INTEGRALS = {
     "delta_evan": ("evanescent", _decay, _side_kernel),
     "delta_rad": ("radiation", np.sin, _side_kernel),
 }
-# branch -> (adaptive integrator, batch integrator)
-_ROUTES = {"evanescent": (integrate_evanescent, batch_evanescent),
-           "radiation": (integrate_radiation, batch_radiation)}
+
+
+def _branch_integral(cfg: InterfaceConfig, branch: str, g, x_nm: float,
+                     quad: QuadratureSpec) -> float:
+    """Integral of g(xi) over a branch, with the panels seeded for x_nm."""
+    check_height(x_nm)
+    return integrate(*branch_rule(cfg, branch, g, 2.0 * cfg.k0_nm * x_nm),
+                     quad)
 
 
 def _integral(cfg: InterfaceConfig, ux2: float, x_nm: float,
               quad: QuadratureSpec, name: str) -> float:
-    """One of the _INTEGRALS at one height, by the adaptive route."""
+    """One of the _INTEGRALS at one height."""
     branch, factor, kernel = _INTEGRALS[name]
     two_k0x = 2.0 * cfg.k0_nm * x_nm
 
@@ -149,7 +154,7 @@ def _integral(cfg: InterfaceConfig, ux2: float, x_nm: float,
         return factor(two_k0x * xi) * kernel(
             ux2, xi, _coefficients(cfg, xi, branch))
 
-    return _ROUTES[branch][0](cfg, g, x_nm, quad)
+    return _branch_integral(cfg, branch, g, x_nm, quad)
 
 
 def _zeta(delta, gamma):
@@ -275,7 +280,7 @@ def _static_moments(cfg: InterfaceConfig, quad: QuadratureSpec):
     return (integrate(sq_s, edges, quad),
             integrate(sq_p2, edges, quad),
             integrate(sq_px, edges, quad),
-            integrate_radiation(cfg, sq_j, 0.0, quad))
+            _branch_integral(cfg, "radiation", sq_j, 0.0, quad))
 
 
 def gamma_mat_vac(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
@@ -317,32 +322,35 @@ def rate_report(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
 
 def rate_columns(cfg: InterfaceConfig, dip: DipolePolarization, xs,
                  quad: QuadratureSpec = QuadratureSpec()):
-    """RateReport columns at every height of xs (ascending) by shared rules.
+    """RateReport columns at every height of xs (ascending) by shared panels.
 
     Heights are split into runs (quadrature.height_chunks).  For each
-    run and branch the x-independent kernels are evaluated once on a
-    15/31 panel rule sized for the run's largest height; each height
-    enters only through its row of e^{-2 k0 x xi}, cos or sin factors.
+    run and branch the x-independent kernels are evaluated once per
+    node of one adaptive panel set, seeded for the run's largest
+    height; each height enters only through its row of e^{-2 k0 x xi},
+    cos or sin factors.
 
     Returns (columns, passed): columns has one row per height and the
     columns of RateReport.COLUMNS, NaN where an asymmetry factor is
     undefined; passed is False where any of the four integrals missed
-    the error target max(atol, rtol |I|), and those rows must be taken
-    from rate_report instead.
+    the error target max(atol, rtol |I|) within the subdivision budget.
     """
     ux2 = _ux2(dip)
     two_k0x = 2.0 * cfg.k0_nm * np.asarray(xs, dtype=float)
     integrals = np.empty((len(_INTEGRALS), two_k0x.size))
     passed = np.ones(two_k0x.size, dtype=bool)
-    for branch, (_, batch) in _ROUTES.items():
+    for branch in ("evanescent", "radiation"):
         picks = [i for i, spec in enumerate(_INTEGRALS.values())
                  if spec[0] == branch]
         for rows in height_chunks(two_k0x):
             run = two_k0x[rows, None]
-            values, ok = batch(cfg, _stacked_integrand(cfg, ux2, branch, run),
-                               run[-1, 0], len(picks) * run.shape[0], quad)
-            integrals[picks, rows] = values
-            passed[rows] &= ok.all(axis=0)
+            values, _, ok = integrate_rows(
+                *branch_rule(cfg, branch,
+                             _stacked_integrand(cfg, ux2, branch, run),
+                             run[-1, 0]),
+                len(picks) * run.shape[0], quad)
+            integrals[picks, rows] = values.reshape(len(picks), -1)
+            passed[rows] &= ok.reshape(len(picks), -1).all(axis=0)
     columns = np.broadcast_arrays(*_columns(cfg, dip, quad, *integrals))
     return np.column_stack(columns), passed
 
@@ -375,26 +383,17 @@ def axis_rates(cfg: InterfaceConfig, x_nm: float,
     """
     two_k0x = 2.0 * cfg.k0_nm * x_nm
 
-    def evan_perp(xi):
-        c_perp, _ = axis_coefficients(cfg, xi, "evanescent")
-        return c_perp * np.exp(-two_k0x * xi)
+    def axis(branch: str, which: int, factor) -> float:
+        def g(xi):
+            return (axis_coefficients(cfg, xi, branch)[which]
+                    * factor(two_k0x * xi))
 
-    def evan_par(xi):
-        _, c_par = axis_coefficients(cfg, xi, "evanescent")
-        return c_par * np.exp(-two_k0x * xi)
+        return _branch_integral(cfg, branch, g, x_nm, quad)
 
-    def rad_perp(xi):
-        c_perp, _ = axis_coefficients(cfg, xi, "radiation")
-        return c_perp * np.cos(two_k0x * xi)
-
-    def rad_par(xi):
-        _, c_par = axis_coefficients(cfg, xi, "radiation")
-        return c_par * np.cos(two_k0x * xi)
-
-    return (1.5 * integrate_evanescent(cfg, evan_perp, x_nm, quad),
-            0.75 * integrate_evanescent(cfg, evan_par, x_nm, quad),
-            1.0 + 1.5 * integrate_radiation(cfg, rad_perp, x_nm, quad),
-            1.0 + 0.75 * integrate_radiation(cfg, rad_par, x_nm, quad))
+    return (1.5 * axis("evanescent", 0, _decay),
+            0.75 * axis("evanescent", 1, _decay),
+            1.0 + 1.5 * axis("radiation", 0, np.cos),
+            1.0 + 0.75 * axis("radiation", 1, np.cos))
 
 
 def oracle_integrate(cfg: InterfaceConfig, dip: DipolePolarization,
@@ -422,18 +421,21 @@ def oracle_integrate(cfg: InterfaceConfig, dip: DipolePolarization,
     nodes, weights = np.polynomial.legendre.leggauss(n_phi)
     phi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
     w_phi = 0.5 * (hi - lo) * weights
+    field = {"rad": "f_rad", "mat": "f_rad_mat", "vac": "f_rad_vac"}.get(
+        channel)
 
-    if channel == "evan":
-        def g(xi):
-            f = f_evan(cfg, dip, xi[:, None], phi[None, :], x_nm)[2]
-            return xi * (f @ w_phi)
-
-        return integrate_evanescent(cfg, g, x_nm, quad)
-
-    field = {"rad": "f_rad", "mat": "f_rad_mat", "vac": "f_rad_vac"}[channel]
+    def density(xi):
+        if field is None:
+            return f_evan(cfg, dip, xi, phi[None, :], x_nm)[2]
+        return getattr(f_rad(cfg, dip, xi, phi[None, :], x_nm), field)
 
     def g(xi):
-        breakdown = f_rad(cfg, dip, xi[:, None], phi[None, :], x_nm)
-        return xi * (getattr(breakdown, field) @ w_phi)
+        # each node costs n_phi density values; keep a block of nodes
+        # within BATCH_ELEMENTS of them
+        step = max(1, BATCH_ELEMENTS // n_phi)
+        return np.concatenate([
+            xi[i:i + step] * (density(xi[i:i + step, None]) @ w_phi)
+            for i in range(0, xi.size, step)])
 
-    return integrate_radiation(cfg, g, x_nm, quad)
+    branch = "evanescent" if field is None else "radiation"
+    return _branch_integral(cfg, branch, g, x_nm, quad)

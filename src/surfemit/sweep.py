@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .density import (DensityBreakdown, DipolePolarization, critical_theta,
                       f_evan, f_rad, pattern)
 from .optics import InterfaceConfig, check_height
-from .quadrature import QuadratureError, QuadratureSpec
-from .rates import RateReport, rate_columns, rate_report
+from .quadrature import QuadratureSpec
+# rate_report is unused here: bench/ times and traces it as sweep's own
+from .rates import RateReport, rate_columns, rate_report  # noqa: F401
 
 TABLE_MAGIC = "surfemit-table-v1"
 
@@ -195,23 +196,14 @@ def _base_metadata(req: SweepRequest, kind: str) -> dict:
 def sweep_rates(req: SweepRequest) -> ResultTable:
     """Full RateReport at every requested distance, one row per x.
 
-    All heights share fixed quadrature rules (rates.rate_columns); a
-    row that misses their error test is computed by rate_report alone.
+    All heights share adaptive quadrature panels (rates.rate_columns).
     The status column is 0 for a clean row and 1 when the quadrature
     failed to converge there (rate cells are then NaN).
     """
     xs = np.sort(np.asarray(req.x_nm, dtype=float))
     values, passed = rate_columns(req.config, req.dipole, xs, req.quad)
-    status = np.zeros(xs.size)
-    for i in np.flatnonzero(~passed):
-        try:
-            report = rate_report(req.config, req.dipole, float(xs[i]),
-                                 req.quad)
-            values[i] = [math.nan if v is None else v
-                         for v in astuple(report)]
-        except QuadratureError:
-            values[i] = math.nan
-            status[i] = 1.0
+    values[~passed] = math.nan
+    status = (~passed).astype(float)
     meta = _base_metadata(req, "rates")
     meta["x_nm"] = xs.tolist()
     return ResultTable(columns=("x_nm", "status") + RateReport.COLUMNS,

@@ -143,6 +143,28 @@ def test_config_file_errors(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,values,flag", [
+    ("rates", {"n1": "abc"}, "--n1"),
+    ("rates", {"n1": None}, "--n1"),
+    ("pattern", {"wavelength-nm": "nm"}, "--wavelength-nm"),
+    ("rates", {"rtol": None}, "--rtol"),
+    ("density", {"grid-n": None}, "--grid-n"),
+    ("density", {"grid-extent": "wide"}, "--grid-extent"),
+    ("pattern", {"n-theta": [3]}, "--n-theta"),
+    ("validate", {"seed": "x"}, "--seed"),
+    ("rates", {"x-nm": [1, None]}, "float"),
+    ("rates", {"out": 5}, "--out"),
+])
+def test_config_values_that_fail_conversion(tmp_path, capsys, command,
+                                            values, flag):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps(values))
+    assert run([command, "--config", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
 def test_density_json_output(capsys):
     rc = run(["density", "--grid-n", "16", "--grid-extent", "1.45",
               "--x-nm", "120", "--format", "json"])

@@ -247,6 +247,30 @@ def test_pattern_zone_domain_errors(cfg):
         pattern(cfg, dip, 0.3, 0.0, 0.0, "upward")
 
 
+_KERNELS = {
+    "f_evan": lambda cfg, dip, xi, x: f_evan(cfg, dip, xi, 0.3, x),
+    "f_rad": lambda cfg, dip, xi, x: f_rad(cfg, dip, xi, 0.3, x),
+    "delta_f": lambda cfg, dip, xi, x: delta_f(cfg, dip, xi, 0.3, x, "rad"),
+    "pattern": lambda cfg, dip, xi, x: pattern(
+        cfg, dip, np.arccos(xi), 0.3, x, "rad_vacuum"),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+def test_kernels_reject_bad_heights(cfg, kernel, bad):
+    dip = DipolePolarization.from_preset("eps-xz")
+    with pytest.raises(ValueError, match="x_nm must be finite"):
+        _KERNELS[kernel](cfg, dip, 0.5, bad)
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_kernels_reject_nonfinite_xi(cfg, kernel):
+    dip = DipolePolarization.from_preset("eps-xz")
+    with pytest.raises(ValueError, match="finite"):
+        _KERNELS[kernel](cfg, dip, np.array([0.5, np.nan]), 100.0)
+
+
 def test_pattern_nonnegative_everywhere(cfg, rng):
     dip = random_dipole(rng)
     thc = critical_theta(cfg)

@@ -88,6 +88,13 @@ def test_axis_coefficients_match_kernels(cfg):
         axis_coefficients(cfg, xi, "bound")
 
 
+@pytest.mark.parametrize("coefficients", [fresnel, transmittance])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coefficients_reject_nonfinite_xi(cfg, coefficients, bad):
+    with pytest.raises(ValueError, match="xi must be finite"):
+        coefficients(cfg, np.array([0.2, bad]))
+
+
 def test_khat_conventions():
     assert np.allclose(khat(0.0), [0.0, 1.0, 0.0])
     assert np.allclose(khat(np.pi / 2.0), [0.0, 0.0, 1.0])

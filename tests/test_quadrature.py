@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from surfemit import InterfaceConfig, QuadratureError, QuadratureSpec
-from surfemit.quadrature import (integrate, integrate_evanescent,
-                                 integrate_radiation)
+from surfemit.quadrature import branch_rule, integrate
 
 
 def test_spec_defaults_and_validation():
@@ -43,8 +42,8 @@ def test_sqrt_endpoint_via_substitution():
     cfg = InterfaceConfig(n1=1.45, lambda0_nm=852.0)
     xm = cfg.xi_max
     # int_0^xm sqrt(xm^2 - xi^2) dxi = pi xm^2 / 4
-    val = integrate_evanescent(cfg, lambda xi: np.sqrt(
-        np.maximum(xm ** 2 - xi ** 2, 0.0)), 0.0, QuadratureSpec())
+    val = integrate(*branch_rule(cfg, "evanescent", lambda xi: np.sqrt(
+        np.maximum(xm ** 2 - xi ** 2, 0.0)), 0.0), QuadratureSpec())
     assert val == pytest.approx(np.pi * xm ** 2 / 4.0, rel=1e-12)
 
 
@@ -52,8 +51,9 @@ def test_evanescent_boundary_layer():
     cfg = InterfaceConfig(n1=1.45, lambda0_nm=852.0)
     x = 20.0 * 852.0
     c = 2.0 * cfg.k0_nm * x
-    val = integrate_evanescent(cfg, lambda xi: np.exp(-c * xi), x,
-                               QuadratureSpec())
+    val = integrate(*branch_rule(cfg, "evanescent",
+                                 lambda xi: np.exp(-c * xi), c),
+                    QuadratureSpec())
     exact = (1.0 - np.exp(-c * cfg.xi_max)) / c
     assert val == pytest.approx(exact, rel=1e-9)
 
@@ -62,8 +62,9 @@ def test_radiation_panels_track_oscillation():
     cfg = InterfaceConfig(n1=1.45, lambda0_nm=852.0)
     for x in (0.0, 426.0, 3400.0):
         c = 2.0 * cfg.k0_nm * x
-        val = integrate_radiation(cfg, lambda xi: np.cos(c * xi), x,
-                                  QuadratureSpec())
+        val = integrate(*branch_rule(cfg, "radiation",
+                                     lambda xi: np.cos(c * xi), c),
+                        QuadratureSpec())
         exact = 1.0 if c == 0.0 else np.sin(c) / c
         assert val == pytest.approx(exact, rel=1e-10, abs=1e-13)
 

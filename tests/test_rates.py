@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,19 @@ def test_oracle_mat_plus_vac_equals_rad(cfg, rng):
     vac = oracle_integrate(cfg, dip, x, "vac")
     rad = oracle_integrate(cfg, dip, x, "rad")
     assert rel_err(mat + vac, rad) < 1e-9
+
+
+def test_oracle_memory_bounded(cfg):
+    # 64 phi nodes per xi node: the integrand blocks its nodes so that
+    # a 92 um radiation oracle stays near the size of one block
+    dip = DipolePolarization.from_preset("eps-xz")
+    tracemalloc.start()
+    try:
+        oracle_integrate(cfg, dip, 92000.0, "rad")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_oracle_channel_validation(cfg):

@@ -8,8 +8,9 @@ import pytest
 
 from helpers import random_dipole, rel_err
 from surfemit import (DIPOLE_PRESETS, DipolePolarization, InterfaceConfig,
-                      QuadratureSpec, ResultTable, SweepRequest, grid_density,
-                      rate_report, scan_pattern, sweep_asymmetry, sweep_rates)
+                      QuadratureError, QuadratureSpec, ResultTable,
+                      SweepRequest, grid_density, rate_report, scan_pattern,
+                      sweep_asymmetry, sweep_rates)
 from surfemit.rates import RateReport, rate_columns
 from surfemit.sweep import GRID_CHANNELS, TABLE_MAGIC
 
@@ -78,18 +79,33 @@ def test_batched_sweep_matches_rate_report(n1):
                       <= tol[~np.isnan(want)])
 
 
-def test_rows_missing_the_batch_test_come_from_rate_report(cfg):
-    # at rtol=1e-13 the shared rule misses the error target at 3400 nm,
-    # where the adaptive route still converges
+def test_rows_refined_past_their_seed_panels_match_rate_report(cfg):
+    # at rtol=1e-13 the 3400 nm row needs more panels than its run's
+    # seed; its rows of the stack are refined until they converge
     dip = DipolePolarization.from_preset("eps-xz")
     quad = QuadratureSpec(rtol=1e-13, atol=1e-300)
     xs = (0.0, 400.0, 3400.0)
-    _, passed = rate_columns(cfg, dip, np.array(xs), quad)
-    assert list(passed) == [True, True, False]
     t = sweep_rates(SweepRequest(config=cfg, dipole=dip, x_nm=xs, quad=quad))
     assert list(t.column("status")) == [0.0, 0.0, 0.0]
-    assert np.array_equal(t.rows[2, 2:], report_row(cfg, dip, 3400.0, quad),
-                          equal_nan=True)
+    want = np.array(report_row(cfg, dip, 3400.0, quad))
+    got = t.rows[2, 2:]
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(got - want)[ok]
+                  <= np.maximum(1e-13 * np.abs(want), 1e-14)[ok])
+
+
+def test_far_rows_stall_at_the_roundoff_floor(cfg):
+    # at the default spec the summed panel error of thousands of
+    # oscillation panels sits just above atol=1e-14 from 400 um on
+    t = sweep_rates(small_request(cfg, preset="y", x_nm=(852.0, 1e6)))
+    assert list(t.column("status")) == [0.0, 1.0]
+    assert np.isfinite(t.column("gamma_total")[0])
+    assert np.all(np.isnan(t.rows[1, 2:]))
+    with pytest.raises(QuadratureError) as err:
+        rate_report(cfg, DipolePolarization.from_preset("y"), 4e5)
+    assert math.isfinite(err.value.estimate)
+    assert err.value.error > QuadratureSpec().atol
 
 
 def test_batch_memory_bounded_at_large_height(cfg):

@@ -4,8 +4,11 @@ Results are returned as ResultTable: a flat named-column float table
 with a JSON-serializable metadata block.  Tables serialize to CSV (a
 `#`-prefixed two-line metadata header followed by a normal header row)
 and to a JSON document {format, metadata, columns, rows}.  Floats are
-rendered with 17 significant digits in both formats, so a parse-render
-cycle is lossless; NaN cells become "nan" in CSV and null in JSON.
+rendered as "%.17g" in both formats, one % operation per block of about
+2^13 cells, so a parse-render cycle is lossless; NaN cells become "nan"
+in CSV and null in JSON, and infinite cells "inf"/"-inf" in CSV and
+Infinity/-Infinity in JSON (the tokens json.loads reads).  The readers
+parse the rows with numpy.
 
 Row order is deterministic: ascending x for distance sweeps,
 lexicographic (kappa_y, kappa_z) for grids, lexicographic (theta, phi)
@@ -101,8 +104,7 @@ class SweepRequest:
         return tuple(float(start + step * i) for i in range(count))
 
 
-def _format_float(v: float) -> str:
-    return format(float(v), ".17g")
+_BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +130,16 @@ class ResultTable:
         except ValueError:
             raise KeyError(f"no column named {name!r}") from None
 
+    def _render(self, sep: str, wrap: str = "%s") -> list:
+        """The rows as "%.17g" cells, each row wrapped by `wrap` and joined
+        by sep: one % per block of about _BLOCK_CELLS cells, which bounds
+        the memory of the argument tuple."""
+        row = wrap % ",".join(["%.17g"] * len(self.columns))
+        step = max(1, _BLOCK_CELLS // max(len(self.columns), 1))
+        return [sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+                for block in (self.rows[i:i + step]
+                              for i in range(0, len(self.rows), step))]
+
     def to_csv(self) -> str:
         lines = [
             f"# {TABLE_MAGIC}",
@@ -135,9 +147,8 @@ class ResultTable:
                               separators=(",", ":")),
             ",".join(self.columns),
         ]
-        for row in self.rows:
-            lines.append(",".join(_format_float(v) for v in row))
-        return "\n".join(lines) + "\n"
+        lines += self._render("\n")
+        return "\n".join(lines + [""])
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
@@ -146,33 +157,29 @@ class ResultTable:
             raise ValueError("not a recognized table: missing magic line")
         metadata = json.loads(lines[1].lstrip("#").strip())
         columns = tuple(lines[2].split(","))
-        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[3:]]
-        return cls(columns=columns,
-                   rows=np.array(rows, dtype=float).reshape(-1, len(columns)),
-                   metadata=metadata)
+        rows = (np.loadtxt(lines[3:], delimiter=",", comments=None, ndmin=2)
+                if len(lines) > 3 else ())
+        return cls(columns=columns, rows=rows, metadata=metadata)
 
     def to_json(self) -> str:
         meta = json.dumps(self.metadata, sort_keys=True, separators=(",", ":"))
         cols = json.dumps(list(self.columns), separators=(",", ":"))
-        rendered = []
-        for row in self.rows:
-            cells = ",".join(
-                "null" if math.isnan(v) else _format_float(v) for v in row)
-            rendered.append("[" + cells + "]")
-        body = "[" + ",".join(rendered) + "]"
-        return ('{"format":"%s","metadata":%s,"columns":%s,"rows":%s}\n'
+        # %.17g writes nan and [-]inf only for non-finite cells
+        body = ",".join(
+            block.replace("nan", "null").replace("inf", "Infinity")
+            for block in self._render(",", "[%s]"))
+        return ('{"format":"%s","metadata":%s,"columns":%s,"rows":[%s]}\n'
                 % (TABLE_MAGIC, meta, cols, body))
 
     @classmethod
     def from_json(cls, text: str) -> "ResultTable":
-        doc = json.loads(text)
+        # json reads the token -0 as the int 0: keep the sign of a -0 cell
+        doc = json.loads(text,
+                         parse_int=lambda s: -0.0 if s == "-0" else int(s))
         if doc.get("format") != TABLE_MAGIC:
             raise ValueError("not a recognized table: bad format field")
-        columns = tuple(doc["columns"])
-        rows = [[math.nan if v is None else float(v) for v in row]
-                for row in doc["rows"]]
-        return cls(columns=columns,
-                   rows=np.array(rows, dtype=float).reshape(-1, len(columns)),
+        return cls(columns=tuple(doc["columns"]),
+                   rows=np.array(doc["rows"], dtype=float),
                    metadata=doc["metadata"])
 
 

@@ -20,7 +20,6 @@ from .rates import (MaterialVacuumSplit, RateReport, asymmetry, axis_rates,
                     gamma_total, oracle_integrate, rate_report, side_rates)
 from .sweep import (ResultTable, SweepRequest, grid_density, scan_pattern,
                     sweep_asymmetry, sweep_rates)
-from .validation import CheckResult, run_checks
 from .vectens import (RateDecomposition, compound_tensor, decompose_coupling,
                       ellipticity_vector, scalar_product,
                       tensor_scalar_product)
@@ -31,15 +30,14 @@ __all__ = [
     "DIPOLE_PRESETS", "DensityBreakdown", "DipolePolarization",
     "InterfaceConfig", "ModePoint", "MaterialVacuumSplit", "QuadratureError",
     "QuadratureSpec", "RateDecomposition", "RateReport", "ResultTable",
-    "SweepRequest", "CheckResult", "asymmetry", "axis_coefficients",
-    "axis_rates", "brewster_xi", "compound_tensor", "critical_theta",
-    "decompose_coupling", "delta_f", "delta_f_equivalences", "delta_rates",
-    "ellipticity_vector", "f_evan", "f_evan_limit_kappa1", "f_rad",
-    "f_rad_limit_kappa1", "fresnel", "gamma_evan", "gamma_mat_vac",
-    "gamma_rad", "gamma_total", "grid_density", "interference_norm",
-    "mode_ellipticity", "mode_field_p", "mode_polarization_p",
-    "mode_polarization_s", "oracle_integrate", "pattern", "rate_report",
-    "run_checks", "scalar_product", "scan_pattern", "side_rates",
-    "spin_density", "sweep_asymmetry", "sweep_rates",
+    "SweepRequest", "asymmetry", "axis_coefficients", "axis_rates",
+    "brewster_xi", "compound_tensor", "critical_theta", "decompose_coupling",
+    "delta_f", "delta_f_equivalences", "delta_rates", "ellipticity_vector",
+    "f_evan", "f_evan_limit_kappa1", "f_rad", "f_rad_limit_kappa1",
+    "fresnel", "gamma_evan", "gamma_mat_vac", "gamma_rad", "gamma_total",
+    "grid_density", "interference_norm", "mode_ellipticity", "mode_field_p",
+    "mode_polarization_p", "mode_polarization_s", "oracle_integrate",
+    "pattern", "rate_report", "scalar_product", "scan_pattern",
+    "side_rates", "spin_density", "sweep_asymmetry", "sweep_rates",
     "tensor_scalar_product", "transmittance", "zeta_f", "__version__",
 ]

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 from .density import DIPOLE_PRESETS, DipolePolarization
 from .optics import InterfaceConfig
 from .quadrature import QuadratureSpec
 from .sweep import (ResultTable, SweepRequest, grid_density, scan_pattern,
                     sweep_asymmetry, sweep_rates)
-from .validation import DEFAULT_SEED, format_report, run_checks
+from .vectens import vector_norm
 
 
 class CliError(Exception):
@@ -168,9 +167,9 @@ def _parse_dipole(text) -> DipolePolarization:
             raise CliError(f"--dipole: {exc}") from exc
         u = [complex(vals[0], vals[1]), complex(vals[2], vals[3]),
              complex(vals[4], vals[5])]
-        norm = float(np.sqrt(sum(abs(c) ** 2 for c in u)))
-        if norm == 0.0:
-            raise CliError("--dipole: dipole must be nonzero")
+        norm = vector_norm(u)
+        if not 0.0 < norm < math.inf:
+            raise CliError("--dipole: dipole must be nonzero and finite")
         if abs(norm - 1.0) > 1e-9:
             print(f"note: --dipole norm {norm:.6g} was normalized to 1",
                   file=sys.stderr)
@@ -256,6 +255,8 @@ def _dispatch(args) -> int:
     quad = _build_quad(args, file_cfg)
 
     if args.subcommand == "validate":
+        # the check suite is imported only when asked for
+        from .validation import DEFAULT_SEED, format_report, run_checks
         seed = _number(args, file_cfg, "seed", DEFAULT_SEED, int)
         results = run_checks(cfg, quad, seed=seed)
         sys.stdout.write(format_report(results))

@@ -17,6 +17,7 @@ and manifestly nonnegative.  All functions broadcast over xi and phi.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,20 +47,22 @@ class DipolePolarization:
 
     The input is normalized on construction; a warning is emitted when
     the supplied norm deviates from 1 by more than 1e-9.  A zero vector
-    is rejected.
+    and one whose norm is not finite are rejected.
     """
 
     u: np.ndarray
 
     def __post_init__(self):
         v = vectens.as_cvector(self.u)
-        norm = float(np.sqrt(np.sum(np.abs(v) ** 2)))
-        if norm == 0.0:
-            raise ValueError("dipole polarization must be nonzero")
+        norm = vectens.vector_norm(v)
+        if not 0.0 < norm < math.inf:
+            raise ValueError("dipole polarization must be nonzero and finite")
         if abs(norm - 1.0) > 1e-9:
             warnings.warn(
                 f"dipole polarization norm {norm:.6g} != 1; normalizing",
                 stacklevel=2)
+        if norm < 1e-300:  # v / norm multiplies by 1/norm, which overflows
+            v, norm = v * 2.0 ** 600, norm * 2.0 ** 600
         object.__setattr__(self, "u", v / norm)
 
     @classmethod

@@ -43,7 +43,8 @@ class InterfaceConfig:
     Parameters
     ----------
     n1 : float
-        Refractive index of the dielectric (x < 0), must exceed 1.
+        Refractive index of the dielectric (x < 0), must exceed 1 and
+        have a finite square (n1 below about 1.34e154).
     lambda0_nm : float
         Vacuum transition wavelength in nm.
     """
@@ -54,6 +55,9 @@ class InterfaceConfig:
     def __post_init__(self):
         if not 1.0 < self.n1 < math.inf:
             raise ValueError(f"n1 must be finite and > 1, got {self.n1}")
+        if not float(self.n1) * float(self.n1) < math.inf:
+            raise ValueError(f"n1^2 must be finite (n1 below about "
+                             f"1.34e154), got {self.n1}")
         if not 0.0 < self.lambda0_nm < math.inf:
             raise ValueError(
                 f"lambda0_nm must be finite and > 0, got {self.lambda0_nm}")

@@ -173,8 +173,9 @@ def branch_rule(cfg: InterfaceConfig, branch: str, g, two_k0x: float):
         scale = cfg.xi_max
         decay = two_k0x * scale
         scales = 2.0 ** np.arange(np.ceil(np.log2(max(decay, 1.0))))
-        edges = np.unique(np.concatenate(
-            [[0.0, np.pi / 2.0], np.arcsin(scales[scales < decay] / decay)]))
+        # 0 < arcsin(c/d) < pi/2 rise with c: already strictly ordered
+        edges = np.concatenate(
+            [[0.0], np.arcsin(scales[scales < decay] / decay), [np.pi / 2.0]])
         edges = np.sort(np.concatenate(
             [edges, 0.5 * (edges[:-1] + edges[1:])]))
     else:

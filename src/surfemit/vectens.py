@@ -8,6 +8,7 @@ scalar product used throughout is sum_q (-1)^q T_q S_{-q}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,16 @@ def as_cvector(v) -> np.ndarray:
 
 
 def vector_norm(v) -> float:
+    """Euclidean norm; rescaled by the largest real or imaginary part
+    only when the plain sum of squares overflows or underflows."""
     a = as_cvector(v)
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    parts = np.abs([a.real, a.imag])
+    big = float(np.max(parts))
+    if not 0.0 < norm < math.inf and 0.0 < big < math.inf:
+        norm = big * float(np.sqrt(np.sum((parts / big) ** 2)))
+    return norm
 
 
 def spherical_components(v) -> np.ndarray:

@@ -65,6 +65,39 @@ def test_zero_dipole_rejected(capsys):
     assert "dipole must be nonzero" in err
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_dipole_norm_out_of_square_range(capsys, scale):
+    # the squared norm overflows or underflows; the dipole is theta-xz
+    assert run(["rates", "--x-nm=0:800:200", "--dipole=theta-xz"]) == 0
+    want = ResultTable.from_csv(capsys.readouterr().out).rows
+    dipole = f"--dipole={scale},0,0,0,{scale},0"
+    assert run(["rates", "--x-nm=0:800:200", dipole]) == 0
+    res = capsys.readouterr()
+    assert "was normalized" in res.err
+    got = ResultTable.from_csv(res.out).rows
+    assert np.all(np.abs(got - want)
+                  <= np.maximum(1e-13 * np.abs(want), 1e-14))
+
+
+def test_nonfinite_dipole_rejected(capsys):
+    assert run(["rates", "--x-nm", "10", "--dipole", "nan,0,0,0,1,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dipole") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--n1=1e160", "--x-nm=0"],
+    ["density", "--n1=1e160"],
+    ["pattern", "--n1=1e200"],
+])
+def test_n1_with_overflowing_square_rejected(capsys, argv):
+    assert run(argv) == 1
+    res = capsys.readouterr()
+    assert res.out == ""
+    assert res.err.startswith("error: --n1") and res.err.count("\n") == 1
+    assert "n1^2 must be finite" in res.err
+
+
 def test_bad_range_rejected(capsys):
     assert run(["rates", "--x-nm", "5:1:2"]) == 1
     assert "--x-nm" in capsys.readouterr().err

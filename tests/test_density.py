@@ -285,10 +285,14 @@ def test_pattern_nonnegative_everywhere(cfg, rng):
 
 def test_dipole_presets_and_validation():
     assert set(DIPOLE_PRESETS) == {"x", "y", "z", "theta-xz", "eps-xz"}
-    with pytest.raises(ValueError, match="nonzero"):
-        DipolePolarization([0.0, 0.0, 0.0])
+    for bad in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="nonzero and finite"):
+            DipolePolarization(bad)
     with pytest.raises(ValueError, match="preset"):
         DipolePolarization.from_preset("w")
+    with pytest.warns(UserWarning, match="normalizing"):
+        tiny = DipolePolarization([3e-322, complex(0, 4e-322), 0.0])
+    assert np.allclose(tiny.u, [0.6, 0.8j, 0.0], rtol=0.0, atol=1e-2)
     with pytest.warns(UserWarning, match="normalizing"):
         dip = DipolePolarization([2.0, 0.0, 0.0])
     assert np.allclose(dip.u, [1.0, 0.0, 0.0])

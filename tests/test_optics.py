@@ -21,6 +21,11 @@ def test_config_validation():
     for lam in (np.inf, np.nan):
         with pytest.raises(ValueError, match="lambda0_nm must be finite"):
             InterfaceConfig(n1=1.45, lambda0_nm=lam)
+    # n1 ** 2 would overflow in every kernel
+    for n1 in (1e160, 1.35e154):
+        with pytest.raises(ValueError, match=r"n1\^2 must be finite"):
+            InterfaceConfig(n1, 852.0)
+    assert InterfaceConfig(1.34e154, 852.0).n1 == 1.34e154
 
 
 def test_config_derived_quantities(cfg):

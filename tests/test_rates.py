@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -236,7 +237,7 @@ def test_oracle_mat_plus_vac_equals_rad(cfg, rng):
 
 
 def test_oracle_memory_bounded(cfg):
-    # 64 phi nodes per xi node: the integrand blocks its nodes so that
+    # n_phi phi nodes per xi node: the integrand blocks its nodes so that
     # a 92 um radiation oracle stays near the size of one block
     dip = DipolePolarization.from_preset("eps-xz")
     tracemalloc.start()
@@ -246,6 +247,21 @@ def test_oracle_memory_bounded(cfg):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+@pytest.mark.parametrize("n1", [1.2, 2.5])
+def test_oracle_default_phi_rule_matches_64_nodes(n1):
+    # the phi density is a degree-2 trigonometric polynomial, so the
+    # default 32-node rule is exact to roundoff on circle and wedges
+    cfg = InterfaceConfig(n1=n1, lambda0_nm=852.0)
+    for preset in ("y", "eps-xz"):
+        dip = DipolePolarization.from_preset(preset)
+        for x, channel, wedge in itertools.product(
+                (0.0, 852.0), ORACLE_CHANNELS,
+                ((0.0, 2.0 * np.pi), (0.0, np.pi), (np.pi, 2.0 * np.pi))):
+            ref = oracle_integrate(cfg, dip, x, channel, wedge, n_phi=64)
+            got = oracle_integrate(cfg, dip, x, channel, wedge)
+            assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 def test_oracle_channel_validation(cfg):

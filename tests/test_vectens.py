@@ -20,6 +20,19 @@ def cvectors():
 SQ2 = np.sqrt(2.0)
 
 
+def test_vector_norm_scales_only_out_of_range_squares():
+    v = np.array([0.3 + 0.1j, -0.2, 0.7j])
+    assert vector_norm(v) == float(np.sqrt(np.sum(np.abs(v) ** 2)))
+    for s in (1e200, 1e-200):
+        assert vector_norm(v * s) == pytest.approx(vector_norm(v) * s,
+                                                   rel=1e-13)
+    tiny = 5e-324
+    assert vector_norm([3 * tiny, complex(0, 4 * tiny), 0]) == 5 * tiny
+    assert vector_norm([1e308 + 1e308j, 0, 0]) == pytest.approx(SQ2 * 1e308)
+    assert vector_norm([0, 0, 0]) == 0.0
+    assert np.isnan(vector_norm([np.nan, 1.0, 0.0]))
+
+
 def test_spherical_components_basis_vectors():
     assert np.allclose(spherical_components([1, 0, 0]),
                        [1 / SQ2, 0, -1 / SQ2])

@@ -229,20 +229,21 @@ def _build_quad(args, file_cfg) -> QuadratureSpec:
 
 
 def _emit(table: ResultTable, args, file_cfg) -> int:
+    """Write the table to --out or stdout a rendered block at a time."""
     fmt = _pick(args, file_cfg, "format", "csv")
     if fmt not in ("csv", "json"):
         raise CliError(f"--format: must be csv or json, got {fmt!r}")
-    text = table.to_csv() if fmt == "csv" else table.to_json()
     out = _pick(args, file_cfg, "out", None)
     if out is not None and not isinstance(out, str):
         raise CliError(f"--out: expected a path, got {out!r}")
     if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise CliError(f"--out: cannot write {out}: {exc}") from exc
+        sys.stdout.writelines(table.render(fmt))
+        return 0
+    try:
+        with open(out, "w") as fh:
+            fh.writelines(table.render(fmt))
+    except OSError as exc:
+        raise CliError(f"--out: cannot write {out}: {exc}") from exc
     return 0
 
 

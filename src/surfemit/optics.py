@@ -44,7 +44,8 @@ class InterfaceConfig:
     ----------
     n1 : float
         Refractive index of the dielectric (x < 0), must exceed 1 and
-        have a finite square (n1 below about 1.34e154).
+        have a finite fourth power (n1 below about 1.16e77): the kernels
+        form (n1^2 + 1) xi^2 with xi up to sqrt(n1^2 - 1).
     lambda0_nm : float
         Vacuum transition wavelength in nm.
     """
@@ -55,9 +56,10 @@ class InterfaceConfig:
     def __post_init__(self):
         if not 1.0 < self.n1 < math.inf:
             raise ValueError(f"n1 must be finite and > 1, got {self.n1}")
-        if not float(self.n1) * float(self.n1) < math.inf:
-            raise ValueError(f"n1^2 must be finite (n1 below about "
-                             f"1.34e154), got {self.n1}")
+        n1sq = float(self.n1) * float(self.n1)
+        if not n1sq * n1sq < math.inf:
+            raise ValueError(f"n1^4 must be finite (n1 below about "
+                             f"1.16e77), got {self.n1}")
         if not 0.0 < self.lambda0_nm < math.inf:
             raise ValueError(
                 f"lambda0_nm must be finite and > 0, got {self.lambda0_nm}")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,13 +90,31 @@ def test_nonfinite_dipole_rejected(capsys):
     ["rates", "--n1=1e160", "--x-nm=0"],
     ["density", "--n1=1e160"],
     ["pattern", "--n1=1e200"],
+    ["rates", "--n1=1e100", "--x-nm=0"],
+    ["density", "--n1=1e100"],
+    ["pattern", "--n1=1e100"],
 ])
 def test_n1_with_overflowing_square_rejected(capsys, argv):
     assert run(argv) == 1
     res = capsys.readouterr()
     assert res.out == ""
     assert res.err.startswith("error: --n1") and res.err.count("\n") == 1
-    assert "n1^2 must be finite" in res.err
+    assert "n1^4 must be finite" in res.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--x-nm=0,150,852"],
+    ["density", "--grid-n=16", "--x-nm=150"],
+    ["pattern", "--n-theta=8", "--x-nm=150"],
+])
+def test_largest_accepted_n1_runs_without_overflow(capsys, argv):
+    # the largest n1 whose fourth power is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv + ["--n1=1.1579208923731618e77"]) == 0
+    res = capsys.readouterr()
+    assert res.err == ""
+    assert ResultTable.from_csv(res.out).rows.shape[0] > 0
 
 
 def test_bad_range_rejected(capsys):
@@ -152,6 +171,17 @@ def test_out_file(tmp_path, capsys):
     t = ResultTable.from_csv(dest.read_text())
     assert t.metadata["table"] == "asymmetry"
     assert t.rows.shape == (2, 8)
+
+
+@pytest.mark.parametrize("where", ["dir", "missing/table.csv"])
+def test_out_that_cannot_be_opened(tmp_path, capsys, where):
+    (tmp_path / "dir").mkdir()
+    assert run(["density", "--grid-n=16",
+                f"--out={tmp_path / where}"]) == 1
+    res = capsys.readouterr()
+    assert res.out == ""
+    assert res.err.startswith("error: --out:") and res.err.count("\n") == 1
+    assert "Traceback" not in res.err
 
 
 def test_config_file_flags_win(tmp_path, capsys):

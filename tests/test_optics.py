@@ -10,6 +10,10 @@ from surfemit.optics import (axis_coefficients, brewster_xi, fresnel,
 from surfemit.vectens import ellipticity_vector
 
 
+# the largest n1 whose fourth power is finite
+N1_MAX = 1.1579208923731618e77
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         InterfaceConfig(n1=0.9, lambda0_nm=852.0)
@@ -21,11 +25,11 @@ def test_config_validation():
     for lam in (np.inf, np.nan):
         with pytest.raises(ValueError, match="lambda0_nm must be finite"):
             InterfaceConfig(n1=1.45, lambda0_nm=lam)
-    # n1 ** 2 would overflow in every kernel
-    for n1 in (1e160, 1.35e154):
-        with pytest.raises(ValueError, match=r"n1\^2 must be finite"):
+    # (n1^2 + 1) xi^2 with xi^2 up to n1^2 - 1 would overflow in the kernels
+    for n1 in (1e160, 1.35e154, 1e100, 1e78, np.nextafter(N1_MAX, np.inf)):
+        with pytest.raises(ValueError, match=r"n1\^4 must be finite"):
             InterfaceConfig(n1, 852.0)
-    assert InterfaceConfig(1.34e154, 852.0).n1 == 1.34e154
+    assert InterfaceConfig(N1_MAX, 852.0).n1 == N1_MAX
 
 
 def test_config_derived_quantities(cfg):

@@ -225,6 +225,19 @@ def test_grid_channel_selection(cfg):
                                    channels=("f_rad", "f_evan")))
     assert t.columns == ("kappa_y", "kappa_z", "region", "f_evan", "f_rad")
     assert t.metadata["grid"]["channels"] == ["f_evan", "f_rad"]
+    # a selected column is the full grid's column, bit for bit
+    full = grid_density(small_request(cfg, "eps-xz", grid_n=21,
+                                      x_fixed_nm=120.0))
+    for subset in (("f_rad_vac", "f_evan_p", "f_rad_s1"),
+                   ("f_rad_mat", "f_evan_s", "f_evan")):
+        part = grid_density(small_request(cfg, "eps-xz", grid_n=21,
+                                          x_fixed_nm=120.0,
+                                          channels=subset))
+        assert part.columns[3:] == tuple(c for c in GRID_CHANNELS
+                                         if c in subset)
+        for name in part.columns:
+            assert np.array_equal(part.column(name).view(np.int64),
+                                  full.column(name).view(np.int64)), name
 
 
 def grid_value(table, a, b, name):

@@ -10,12 +10,13 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from surfemit import (DipolePolarization, InterfaceConfig, ResultTable,
-                      SweepRequest, grid_density)
+                      SweepRequest, cli, grid_density)
 from surfemit.cli import run
 from surfemit.sweep import TABLE_MAGIC
 
@@ -114,16 +115,47 @@ CLI_GOLDEN = {
         "1fdab2d7aced48ebd866a487c2b96924b92f976a669155c97be38fd84cbc4749",
     ("pattern", "--n-theta=8"):
         "303b079cdb8e9b89990d13623e8edb71dfe7ca4bc0c34da66277bc2297fbdcf1",
+    ("rates",):
+        "a103ff3b753388ef82cbdcdf68c82e1e73047c224ab54623ea01438a2c8e1964",
+    ("rates", "--format=json"):
+        "6da334b0a54fdbf9eb341a285646b45c5965037d338afeaefe97ad2a8c2ca0bd",
+    ("asymmetry", "--x-nm=0:800:50"):
+        "d22bff64d8d5cfdf1034900de11086f79f3d32bb326e92998f5705fdc02ffcf5",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
-def test_default_cli_tables_are_byte_identical(argv):
+@pytest.mark.parametrize("argv", list(CLI_GOLDEN))
+def test_default_cli_tables_are_byte_identical(argv, tmp_path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(list(argv)) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
-        CLI_GOLDEN[argv]
+    text = out.getvalue().encode()
+    assert hashlib.sha256(text).hexdigest() == CLI_GOLDEN[argv]
+    dest = tmp_path / "table"
+    assert run([*argv, f"--out={dest}"]) == 0
+    assert dest.read_bytes() == text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_density_peak_memory_is_the_table_plus_scratch(fmt, tmp_path,
+                                                           monkeypatch):
+    # the grid is built in place and written a block at a time, so the
+    # peak is the table plus the kernels' scratch, not its whole text
+    tables = []
+
+    def keep(req):
+        tables.append(grid_density(req))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "grid_density", keep)
+    tracemalloc.start()
+    try:
+        assert run(["density", "--grid-n=256", f"--format={fmt}",
+                    f"--out={tmp_path / 'grid'}"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * tables[0].rows.nbytes
 
 
 def _csv(body, columns="a,b", newline="\n"):

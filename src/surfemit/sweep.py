@@ -280,7 +280,7 @@ def grid_density(req: SweepRequest) -> ResultTable:
 
     emask = evan | boundary
     evan_names = [name for name in GRID_CHANNELS[:3] if name in col]
-    if evan_names and np.any(emask):
+    if np.any(emask):
         xi_e = np.where(boundary[emask], 0.0,
                         np.sqrt(np.maximum(kappa[emask] ** 2 - 1.0, 0.0)))
         xi_e = np.minimum(xi_e, cfg.xi_max)
@@ -292,7 +292,7 @@ def grid_density(req: SweepRequest) -> ResultTable:
 
     rmask = rad | boundary
     rad_names = [name for name in GRID_CHANNELS[3:] if name in col]
-    if rad_names and np.any(rmask):
+    if np.any(rmask):
         xi_r = np.where(boundary[rmask], 0.0,
                         np.sqrt(np.maximum(1.0 - kappa[rmask] ** 2, 0.0)))
         breakdown = f_rad(cfg, req.dipole, xi_r, phi[rmask], req.x_fixed_nm)

@@ -21,8 +21,10 @@ from pathlib import Path
 from .density import DIPOLE_PRESETS, DipolePolarization
 from .optics import InterfaceConfig
 from .quadrature import QuadratureSpec
-from .sweep import (ResultTable, SweepRequest, grid_density, scan_pattern,
-                    sweep_asymmetry, sweep_rates)
+from .sweep import (SweepRequest, _grid_blocks, _grid_layout, _render_rows,
+                    scan_pattern, sweep_asymmetry, sweep_rates)
+# grid_density is unused here: bench/ traces it as cli's own
+from .sweep import grid_density  # noqa: F401
 from .vectens import vector_norm
 
 
@@ -228,20 +230,22 @@ def _build_quad(args, file_cfg) -> QuadratureSpec:
         raise CliError(f"--rtol/--atol/--max-subdivisions: {exc}") from exc
 
 
-def _emit(table: ResultTable, args, file_cfg) -> int:
-    """Write the table to --out or stdout a rendered block at a time."""
+def _emit(columns, metadata, blocks, args, file_cfg) -> int:
+    """Write the table given by its row blocks to --out or stdout a
+    rendered block at a time."""
     fmt = _pick(args, file_cfg, "format", "csv")
     if fmt not in ("csv", "json"):
         raise CliError(f"--format: must be csv or json, got {fmt!r}")
     out = _pick(args, file_cfg, "out", None)
     if out is not None and not isinstance(out, str):
         raise CliError(f"--out: expected a path, got {out!r}")
+    pieces = _render_rows(columns, metadata, blocks, fmt)
     if out is None:
-        sys.stdout.writelines(table.render(fmt))
+        sys.stdout.writelines(pieces)
         return 0
     try:
         with open(out, "w") as fh:
-            fh.writelines(table.render(fmt))
+            fh.writelines(pieces)
     except OSError as exc:
         raise CliError(f"--out: cannot write {out}: {exc}") from exc
     return 0
@@ -279,7 +283,7 @@ def _dispatch(args) -> int:
                 grid_extent=_number(args, file_cfg, "grid_extent", None),
                 x_fixed_nm=_parse_x_single(_pick(args, file_cfg, "x_nm",
                                                  0.0)))
-            table = grid_density(req)
+            table = None
         else:
             req = SweepRequest(
                 config=cfg, dipole=dipole, quad=quad,
@@ -290,7 +294,10 @@ def _dispatch(args) -> int:
             table = scan_pattern(req)
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    return _emit(table, args, file_cfg)
+    if table is None:
+        # the grid goes from the kernels to the writer a block at a time
+        return _emit(*_grid_layout(req), _grid_blocks(req), args, file_cfg)
+    return _emit(table.columns, table.metadata, (table.rows,), args, file_cfg)
 
 
 def run(argv=None) -> int:
@@ -310,3 +317,7 @@ def run(argv=None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

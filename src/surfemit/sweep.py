@@ -12,10 +12,15 @@ parse the rows with numpy.
 
 ResultTable.render yields that text a block at a time, and the CLI
 writes each piece straight to its destination, so a CLI process never
-holds the whole text.  grid_density fills its table in place, so the
-peak memory of a table command is the table plus the kernels' scratch:
-a 1000 x 1000 density grid (a 120 MB table, 137 MB of CSV) peaks at
-about 280 MB resident in CSV or JSON (Python 3.11, numpy 2.4).
+holds the whole text.  A density grid is computed a block of whole grid
+rows (about 2^11 points) at a time, and the CLI hands each block from
+the kernels to the writer, so `surfemit density` never holds its table
+either: its peak memory is the interpreter plus one block, about 32 MB
+resident at 208 x 208 and 36 MB at 1000 x 1000 (a 120 MB table, 137 MB
+of CSV), in CSV or JSON, against 31 MB for a bare `import surfemit.cli`
+(Python 3.11, numpy 2.4).  Readers reject a table whose metadata fixes
+a row count (grid, rates, asymmetry, pattern) that its rows do not
+match, such as a file cut short.
 
 Row order is deterministic: ascending x for distance sweeps,
 lexicographic (kappa_y, kappa_z) for grids, lexicographic (theta, phi)
@@ -114,6 +119,39 @@ class SweepRequest:
 _BLOCK_CELLS = 1 << 13
 
 
+def _render_rows(columns, metadata, blocks, fmt: str):
+    """Yield a table given as an iterable of row blocks in fmt ("csv" or
+    "json") as text pieces: the header, then the rows as "%.17g" cells,
+    one % per block of about _BLOCK_CELLS cells, then the tail.  A
+    writer that consumes the pieces never holds the whole text, and a
+    caller that produces the blocks lazily never holds the whole
+    table; the bytes do not depend on how the rows are split."""
+    meta = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
+    cells = ",".join(["%.17g"] * len(columns))
+    if fmt == "csv":
+        yield f"# {TABLE_MAGIC}\n# {meta}\n{','.join(columns)}\n"
+        row, sep, tail = cells + "\n", "", ""
+    elif fmt == "json":
+        cols = json.dumps(list(columns), separators=(",", ":"))
+        yield ('{"format":"%s","metadata":%s,"columns":%s,"rows":['
+               % (TABLE_MAGIC, meta, cols))
+        row, sep, tail = "[" + cells + "]", ",", "]}\n"
+    else:
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    step = max(1, _BLOCK_CELLS // max(len(columns), 1))
+    lead = ""
+    for rows in blocks:
+        for i in range(0, len(rows), step):
+            block = rows[i:i + step]
+            text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+            if fmt == "json":
+                # %.17g writes nan and [-]inf only for non-finite cells
+                text = text.replace("nan", "null").replace("inf", "Infinity")
+            yield lead + text
+            lead = sep
+    yield tail
+
+
 @dataclass(frozen=True, eq=False)
 class ResultTable:
     """Named-column float table with a metadata echo of its request."""
@@ -138,31 +176,9 @@ class ResultTable:
             raise KeyError(f"no column named {name!r}") from None
 
     def render(self, fmt: str):
-        """Yield the table in fmt ("csv" or "json") as text pieces: the
-        header, then the rows as "%.17g" cells, one % per block of about
-        _BLOCK_CELLS cells, then the tail.  A writer that consumes the
-        pieces never holds the whole text."""
-        meta = json.dumps(self.metadata, sort_keys=True, separators=(",", ":"))
-        cells = ",".join(["%.17g"] * len(self.columns))
-        if fmt == "csv":
-            yield f"# {TABLE_MAGIC}\n# {meta}\n{','.join(self.columns)}\n"
-            row, sep, tail = cells + "\n", "", ""
-        elif fmt == "json":
-            cols = json.dumps(list(self.columns), separators=(",", ":"))
-            yield ('{"format":"%s","metadata":%s,"columns":%s,"rows":['
-                   % (TABLE_MAGIC, meta, cols))
-            row, sep, tail = "[" + cells + "]", ",", "]}\n"
-        else:
-            raise ValueError(f"format must be csv or json, got {fmt!r}")
-        step = max(1, _BLOCK_CELLS // max(len(self.columns), 1))
-        for i in range(0, len(self.rows), step):
-            block = self.rows[i:i + step]
-            text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
-            if fmt == "json":
-                # %.17g writes nan and [-]inf only for non-finite cells
-                text = text.replace("nan", "null").replace("inf", "Infinity")
-            yield sep + text if i else text
-        yield tail
+        """Yield the table in fmt ("csv" or "json") as text pieces; see
+        _render_rows."""
+        return _render_rows(self.columns, self.metadata, (self.rows,), fmt)
 
     def to_csv(self) -> str:
         return "".join(self.render("csv"))
@@ -176,7 +192,7 @@ class ResultTable:
         columns = tuple(lines[2].split(","))
         rows = (np.loadtxt(lines[3:], delimiter=",", comments=None, ndmin=2)
                 if len(lines) > 3 else ())
-        return cls(columns=columns, rows=rows, metadata=metadata)
+        return cls._read(columns, rows, metadata)
 
     def to_json(self) -> str:
         return "".join(self.render("json"))
@@ -188,9 +204,38 @@ class ResultTable:
                          parse_int=lambda s: -0.0 if s == "-0" else int(s))
         if doc.get("format") != TABLE_MAGIC:
             raise ValueError("not a recognized table: bad format field")
-        return cls(columns=tuple(doc["columns"]),
-                   rows=np.array(doc["rows"], dtype=float),
-                   metadata=doc["metadata"])
+        return cls._read(tuple(doc["columns"]),
+                         np.array(doc["rows"], dtype=float), doc["metadata"])
+
+    @classmethod
+    def _read(cls, columns, rows, metadata) -> "ResultTable":
+        """The table read back; a table whose metadata fixes its row
+        count must have that many rows, so a cut one is not taken for a
+        shorter one."""
+        table = cls(columns=columns, rows=rows, metadata=metadata)
+        expected = _fixed_row_count(metadata)
+        if expected is not None and len(table.rows) != expected:
+            raise ValueError(f"{metadata['table']} table has "
+                             f"{len(table.rows)} rows where its metadata "
+                             f"fixes {expected}: is it cut short?")
+        return table
+
+
+def _fixed_row_count(metadata):
+    """The row count that a table's metadata fixes by its kind, or None
+    for a table of no known kind."""
+    kind = metadata.get("table") if isinstance(metadata, dict) else None
+    try:
+        if kind == "grid":
+            return int(metadata["grid"]["n"]) ** 2
+        if kind in ("rates", "asymmetry"):
+            return len(metadata["x_nm"])
+        if kind == "pattern":
+            return int(metadata["pattern"]["n_angles"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{kind} table: its metadata does not give its "
+                         "row count") from None
+    return None
 
 
 def _tool_version() -> str:
@@ -242,29 +287,45 @@ def sweep_asymmetry(req: SweepRequest) -> ResultTable:
         metadata=dict(full.metadata, table="asymmetry"))
 
 
-def grid_density(req: SweepRequest) -> ResultTable:
-    """Angular densities on a square (kappa_y, kappa_z) grid.
+# Kernel scratch is about 450 B per grid point, so blocks of 2^11 points
+# keep a `density` process within about 1.3 MB of traced memory at any
+# grid_n (2^12: 2.2 MB).  The kernels of a 208^2 grid take 10 ms in such
+# blocks, 15 ms in blocks of 2^10 and 12 ms as one block.
+_GRID_BLOCK_POINTS = 1 << 11
 
-    The region column is a sentinel: -1 outside the light cone of the
-    dielectric (all channels NaN), 0 on the radiation branch, 1 on the
-    evanescent branch, 2 within 1e-9 of the branch point kappa = 1
-    (both families evaluated at xi = 0, where they agree with the
-    common limit).  Channels that do not apply to a row's branch are
-    NaN.
-    """
-    cfg = req.config
+
+def _grid_layout(req: SweepRequest):
+    """Columns and metadata of the grid_density table of req."""
     channels = req.channels if req.channels is not None else GRID_CHANNELS
-    extent = req.grid_extent if req.grid_extent is not None else cfg.n1
-    n = req.grid_n
-    axis = np.linspace(-extent, extent, n)
-    columns = ("kappa_y", "kappa_z", "region") + tuple(channels)
-    # the table is allocated once; every column is written in place
-    data = np.full((n * n, len(columns)), math.nan)
-    cells = data.reshape(n, n, len(columns))
-    cells[:, :, 0] = axis[:, None]
-    cells[:, :, 1] = axis[None, :]
+    extent = req.grid_extent if req.grid_extent is not None else req.config.n1
+    meta = _base_metadata(req, "grid")
+    meta["grid"] = {"n": req.grid_n, "extent": extent,
+                    "x_nm": req.x_fixed_nm, "channels": list(channels)}
+    return ("kappa_y", "kappa_z", "region") + tuple(channels), meta
+
+
+def _grid_blocks(req: SweepRequest):
+    """Yield the rows of the grid_density table of req in order, in
+    blocks of whole grid rows of at most about _GRID_BLOCK_POINTS points
+    (at least one grid row), so the kernels' scratch is one block's."""
+    columns, meta = _grid_layout(req)
+    extent = meta["grid"]["extent"]
+    axis = np.linspace(-extent, extent, req.grid_n)
+    step = max(1, _GRID_BLOCK_POINTS // req.grid_n)
+    for start in range(0, req.grid_n, step):
+        yield _grid_block(req, columns, axis[start:start + step], axis)
+
+
+def _grid_block(req: SweepRequest, columns, ys, zs) -> np.ndarray:
+    """The table rows of the grid points (ys x zs), kappa_y major."""
+    cfg = req.config
+    # the block is allocated once; every column is written in place
+    data = np.full((len(ys) * len(zs), len(columns)), math.nan)
+    cells = data.reshape(len(ys), len(zs), len(columns))
+    cells[:, :, 0] = ys[:, None]
+    cells[:, :, 1] = zs[None, :]
     ky, kz, region = data[:, 0], data[:, 1], data[:, 2]
-    col = {name: data[:, 3 + k] for k, name in enumerate(channels)}
+    col = {name: data[:, 3 + k] for k, name in enumerate(columns[3:])}
     kappa = np.hypot(ky, kz)
     phi = np.arctan2(kz, ky)
 
@@ -298,10 +359,25 @@ def grid_density(req: SweepRequest) -> ResultTable:
         breakdown = f_rad(cfg, req.dipole, xi_r, phi[rmask], req.x_fixed_nm)
         for name in rad_names:
             col[name][rmask] = getattr(breakdown, name)
+    return data
 
-    meta = _base_metadata(req, "grid")
-    meta["grid"] = {"n": n, "extent": extent,
-                    "x_nm": req.x_fixed_nm, "channels": list(channels)}
+
+def grid_density(req: SweepRequest) -> ResultTable:
+    """Angular densities on a square (kappa_y, kappa_z) grid.
+
+    The region column is a sentinel: -1 outside the light cone of the
+    dielectric (all channels NaN), 0 on the radiation branch, 1 on the
+    evanescent branch, 2 within 1e-9 of the branch point kappa = 1
+    (both families evaluated at xi = 0, where they agree with the
+    common limit).  Channels that do not apply to a row's branch are
+    NaN.
+    """
+    columns, meta = _grid_layout(req)
+    data = np.empty((req.grid_n ** 2, len(columns)))
+    at = 0
+    for block in _grid_blocks(req):
+        data[at:at + len(block)] = block
+        at += len(block)
     return ResultTable(columns=columns, rows=data, metadata=meta)
 
 

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from surfemit.cli import run
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -39,3 +41,12 @@ def test_rates_command_does_not_load_the_check_suite(tmp_path):
     assert out.read_text().startswith("# surfemit-table-v1")
     assert "numpy.ma" not in loaded
     assert "surfemit.validation" not in loaded
+
+
+def test_python_m_surfemit_cli_writes_the_table(capsys):
+    argv = ["rates", "--x-nm=0:10:5"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "surfemit.cli", *argv],
+                          env=env, capture_output=True, check=True)
+    assert run(argv) == 0
+    assert done.stdout == capsys.readouterr().out.encode()

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from surfemit import (DipolePolarization, InterfaceConfig, ResultTable,
-                      SweepRequest, cli, grid_density)
+                      SweepRequest, grid_density, scan_pattern,
+                      sweep_asymmetry, sweep_rates)
 from surfemit.cli import run
 from surfemit.sweep import TABLE_MAGIC
 
@@ -121,6 +122,15 @@ CLI_GOLDEN = {
         "6da334b0a54fdbf9eb341a285646b45c5965037d338afeaefe97ad2a8c2ca0bd",
     ("asymmetry", "--x-nm=0:800:50"):
         "d22bff64d8d5cfdf1034900de11086f79f3d32bb326e92998f5705fdc02ffcf5",
+    # several kernel and render blocks, the last kernel block partial
+    ("density", "--grid-n=101", "--dipole=eps-xz", "--x-nm=300"):
+        "e7be34ef0313cd2b9579d1455819422faa38811ce59a182957b13fb968d0a76f",
+    ("density", "--grid-n=101", "--dipole=eps-xz", "--x-nm=300",
+     "--format=json"):
+        "5a55e4221e3a7b351fbeae6a1afa2d080d8ef3c2edb6ab15b4c0154abb732dbd",
+    # the square just around the radiation disc
+    ("density", "--grid-n=64", "--grid-extent=1.0", "--dipole=theta-xz"):
+        "2d7dc33657896d589dbfe1dcb8bd886d90a046ad9633bba73bf1e51367a6a456",
 }
 
 
@@ -136,26 +146,74 @@ def test_default_cli_tables_are_byte_identical(argv, tmp_path):
     assert dest.read_bytes() == text
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_cli_density_peak_memory_is_the_table_plus_scratch(fmt, tmp_path,
-                                                           monkeypatch):
-    # the grid is built in place and written a block at a time, so the
-    # peak is the table plus the kernels' scratch, not its whole text
-    tables = []
-
-    def keep(req):
-        tables.append(grid_density(req))
-        return tables[-1]
-
-    monkeypatch.setattr(cli, "grid_density", keep)
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        assert run(["density", "--grid-n=256", f"--format={fmt}",
-                    f"--out={tmp_path / 'grid'}"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * tables[0].rows.nbytes
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_density_peak_memory_does_not_grow_with_the_grid(n, fmt,
+                                                             tmp_path):
+    # the grid goes from the kernels to the writer a block of grid rows
+    # at a time, so no CLI process holds its table (16 MB at 512^2)
+    code, peak = _traced_peak(run, ["density", f"--grid-n={n}",
+                                    f"--format={fmt}",
+                                    f"--out={tmp_path / 'grid'}"])
+    assert code == 0
+    assert peak < 2e6
+
+
+def test_grid_density_peak_memory_is_the_table_plus_a_block():
+    req = SweepRequest(config=InterfaceConfig(n1=1.45, lambda0_nm=852.0),
+                       dipole=DipolePolarization.from_preset("eps-xz"),
+                       grid_n=256)
+    table, peak = _traced_peak(grid_density, req)
+    assert peak < 2.5 * table.rows.nbytes
+
+
+def _cut_tables():
+    cfg = InterfaceConfig(n1=1.45, lambda0_nm=852.0)
+    eps = DipolePolarization.from_preset("eps-xz")
+    sweep = SweepRequest(config=cfg, dipole=eps,
+                         x_nm=SweepRequest.x_values(0.0, 800.0, 2.0))
+    return {
+        "grid": grid_density(SweepRequest(config=cfg, dipole=eps,
+                                          grid_n=64)),
+        "rates": sweep_rates(sweep),
+        "asymmetry": sweep_asymmetry(sweep),
+        "pattern": scan_pattern(SweepRequest(config=cfg, dipole=eps)),
+    }
+
+
+CUT_TABLES = _cut_tables()
+
+
+@pytest.mark.parametrize("kind", sorted(CUT_TABLES))
+def test_readers_reject_a_table_cut_short(kind):
+    table = CUT_TABLES[kind]
+    assert table.metadata["table"] == kind
+    short = ResultTable(table.columns, table.rows[:-1], table.metadata)
+    cuts = [(short.to_csv(), ResultTable.from_csv),
+            (short.to_json(), ResultTable.from_json)]
+    pieces = list(table.render("csv"))
+    if len(pieces) > 3:
+        # header and first block of rows: where an interrupted --out
+        # file can end
+        cuts.append(("".join(pieces[:2]), ResultTable.from_csv))
+    for text, read in cuts:
+        with pytest.raises(ValueError, match="cut short"):
+            read(text)
+
+
+def test_readers_reject_a_kind_without_its_row_count():
+    text = ResultTable(("a",), [[1.0]], {"table": "grid"}).to_csv()
+    with pytest.raises(ValueError, match="row count"):
+        ResultTable.from_csv(text)
 
 
 def _csv(body, columns="a,b", newline="\n"):

@@ -32,9 +32,6 @@ class CliError(Exception):
     """One-line user-facing diagnostic; maps to exit code 1."""
 
 
-_TABLE_COMMANDS = ("rates", "density", "pattern", "asymmetry")
-
-
 def _add_common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--n1", type=float, default=None,
                      help="refractive index of the dielectric (default 1.45)")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vectens
-from .optics import (InterfaceConfig, _bounded, check_height, khat_cross_xhat,
-                     transmittance)
+from .optics import (InterfaceConfig, _bounded, _reflection, _transmission,
+                     check_height, transmittance)
 
 _C8 = 3.0 / (8.0 * np.pi)
 _C4 = 3.0 / (4.0 * np.pi)
@@ -87,17 +87,14 @@ class DipolePolarization:
 
 @dataclass(frozen=True, eq=False)
 class DensityBreakdown:
-    """All angular-density channels at one mode point (units of gamma0).
+    """Radiation-channel angular densities at one mode point (units of
+    gamma0), as f_rad returns them.
 
-    Evanescent fields are zero at radiation points and vice versa; the
-    per-input radiation densities (s1, s2, p1, p2) are labelled by the
+    The per-input radiation densities (s1, s2, p1, p2) are labelled by the
     incident side (1 = dielectric, 2 = vacuum) and the output-resolved
     pair (mat, vac) by where the emitted photon ends up.
     """
 
-    f_evan_s: np.ndarray | float = 0.0
-    f_evan_p: np.ndarray | float = 0.0
-    f_evan: np.ndarray | float = 0.0
     f_rad_s1: np.ndarray | float = 0.0
     f_rad_s2: np.ndarray | float = 0.0
     f_rad_p1: np.ndarray | float = 0.0
@@ -140,10 +137,7 @@ def f_evan(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi, x_nm: float):
     xi = _bounded(xi, cfg.xi_max, "f_evan")
     phi = np.asarray(phi, dtype=float)
     u = dip.u
-    n1sq = cfg.n1 ** 2
-    eta = np.sqrt(np.maximum(n1sq - 1.0 - xi ** 2, 0.0))
-    ts_over_xi = 2.0 * eta / (n1sq - 1.0)
-    tp_over_xi = (2.0 * n1sq / (n1sq - 1.0)) * eta / ((n1sq + 1.0) * xi ** 2 + 1.0)
+    _, ts_over_xi, tp_over_xi = _transmission(cfg, xi)
     damp = np.exp(-2.0 * cfg.k0_nm * x_nm * xi)
     kappa = np.sqrt(1.0 + xi ** 2)
     w = _inplane_coupling(u, phi)
@@ -154,7 +148,8 @@ def f_evan(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi, x_nm: float):
 
 
 def f_evan_limit_kappa1(cfg: InterfaceConfig, dip: DipolePolarization, phi):
-    """Boundary value of f_evan as kappa -> 1 (xi -> 0 on the branch).
+    """Boundary value of f_evan as kappa -> 1 (xi -> 0 on the branch),
+    which f_rad takes as well, so both branches join continuously.
 
     (3/(2 pi sqrt(n1^2-1))) [n1^2 |u_x|^2 + |u_y|^2 sin^2(phi)
     + |u_z|^2 cos^2(phi) - Re(u_y* u_z) sin(2 phi)], independent of x.
@@ -164,12 +159,6 @@ def f_evan_limit_kappa1(cfg: InterfaceConfig, dip: DipolePolarization, phi):
     n1sq = cfg.n1 ** 2
     pref = 3.0 / (2.0 * np.pi * np.sqrt(n1sq - 1.0))
     return pref * (n1sq * np.abs(u[0]) ** 2 + _s_coupling(u, phi))
-
-
-def f_rad_limit_kappa1(cfg: InterfaceConfig, dip: DipolePolarization, phi):
-    """Boundary value of f_rad as kappa -> 1; coincides with the
-    evanescent-side limit, so both branches join continuously."""
-    return f_evan_limit_kappa1(cfg, dip, phi)
 
 
 def f_rad(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
@@ -186,9 +175,7 @@ def f_rad(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
     phi = np.asarray(phi, dtype=float)
     u = dip.u
     n1sq = cfg.n1 ** 2
-    eta = np.sqrt(n1sq - 1.0 + xi ** 2)
-    r_s = (xi - eta) / (xi + eta)
-    r_p = (n1sq * xi - eta) / (n1sq * xi + eta)
+    eta, r_s, r_p = _reflection(cfg, xi)
     # exact regular ratios: (1 - r^2)/xi for each polarization
     cs1 = 4.0 * eta / (xi + eta) ** 2
     cp1 = 4.0 * n1sq * eta / (n1sq * xi + eta) ** 2
@@ -225,6 +212,23 @@ def f_rad(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
         f_rad_mat=f_mat, f_rad_vac=f_vac)
 
 
+_RAD_FIELDS = {"rad": "f_rad", "mat": "f_rad_mat", "vac": "f_rad_vac"}
+CHANNELS = ("evan",) + tuple(_RAD_FIELDS)
+
+
+def channel_density(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
+                    x_nm: float, channel: str):
+    """The total density of one channel family: f_evan's total for
+    'evan', f_rad's f_rad, f_rad_mat or f_rad_vac for 'rad', 'mat' or
+    'vac'."""
+    if channel == "evan":
+        return f_evan(cfg, dip, xi, phi, x_nm)[2]
+    if channel not in _RAD_FIELDS:
+        raise ValueError(
+            f"unknown channel {channel!r}; choose from {CHANNELS}")
+    return getattr(f_rad(cfg, dip, xi, phi, x_nm), _RAD_FIELDS[channel])
+
+
 def delta_f(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
             x_nm: float, channel: str):
     """Central-inversion difference f(xi, phi) - f(xi, phi + pi).
@@ -245,8 +249,7 @@ def delta_f(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
             np.conj(u[0]) * w)
     xi = _bounded(xi, 1.0, "delta_f")
     n1sq = cfg.n1 ** 2
-    eta = np.sqrt(n1sq - 1.0 + xi ** 2)
-    r_p = (n1sq * xi - eta) / (n1sq * xi + eta)
+    eta, _, r_p = _reflection(cfg, xi)
     kappa = np.sqrt(np.maximum(1.0 - xi ** 2, 0.0))
     if channel == "rad":
         return (3.0 / np.pi) * kappa * r_p * np.sin(
@@ -271,15 +274,8 @@ def zeta_f(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
     independent of the emitter height.
     """
     phi = np.asarray(phi, dtype=float)
-    if channel == "evan":
-        tot = f_evan(cfg, dip, xi, phi, x_nm)[2] + f_evan(
-            cfg, dip, xi, phi + np.pi, x_nm)[2]
-    elif channel in ("rad", "mat", "vac"):
-        field = {"rad": "f_rad", "mat": "f_rad_mat", "vac": "f_rad_vac"}[channel]
-        tot = getattr(f_rad(cfg, dip, xi, phi, x_nm), field) + getattr(
-            f_rad(cfg, dip, xi, phi + np.pi, x_nm), field)
-    else:
-        raise ValueError(f"unknown channel {channel!r}")
+    tot = channel_density(cfg, dip, xi, phi, x_nm, channel) + channel_density(
+        cfg, dip, xi, phi + np.pi, x_nm, channel)
     num = delta_f(cfg, dip, xi, phi, x_nm, channel)
     tot_arr = np.asarray(tot, dtype=float)
     safe = np.where(tot_arr != 0.0, tot_arr, 1.0)
@@ -309,7 +305,7 @@ def delta_f_equivalences(cfg: InterfaceConfig, dip: DipolePolarization,
     if branch == "evanescent":
         closed = float(delta_f(cfg, dip, xi, phi, x_nm, "evan"))
         point = ModePoint("evanescent", xi, phi, "p", 1)
-        eta = float(np.sqrt(max(cfg.n1 ** 2 - 1.0 - xi ** 2, 0.0)))
+        eta = float(_transmission(cfg, xi)[0])
         if eta == 0.0:
             return closed, 0.0, 0.0
         field = mode_field_p(cfg, point, x_nm)

@@ -21,6 +21,12 @@ On both branches eta = sqrt(n1^2 - kappa^2) denotes the out-of-plane
 propagation constant inside the dielectric: sqrt(n1^2 - 1 - xi^2) on the
 evanescent branch and sqrt(n1^2 - 1 + xi^2) on the radiation branch.
 
+Two private kernels are the single definition of the interface algebra:
+`_reflection` gives (eta, r_s, r_p) on the radiation branch and
+`_transmission` gives (eta, T_s/xi, T_p/xi) on the evanescent branch
+(or T_s, T_p themselves, with the weight w = xi).  Every function here
+and in the density module takes eta, r, T and T/xi from them.
+
 Rates downstream are expressed in units of the free-space rate, so this
 module only ever deals with dimensionless mode quantities; lengths enter
 through the product k0 * x.
@@ -153,62 +159,43 @@ def khat_cross_xhat(phi) -> np.ndarray:
         [np.zeros_like(phi), np.sin(phi), -np.cos(phi)], axis=-1)
 
 
-def fresnel(cfg: InterfaceConfig, xi):
-    """Radiation-branch reflection coefficients of the vacuum-side field.
-
-    Parameters
-    ----------
-    cfg : InterfaceConfig
-    xi : float or array
-        Out-of-plane propagation constant, in [0, 1].
-
-    Returns
-    -------
-    (r_s, r_p)
-        TE and TM amplitude reflection coefficients,
-        r_s = (xi - eta)/(xi + eta) and
-        r_p = (n1^2 xi - eta)/(n1^2 xi + eta) with
-        eta = sqrt(n1^2 - 1 + xi^2).
-    """
-    xi = _bounded(xi, 1.0, "fresnel")
+def _reflection(cfg: InterfaceConfig, xi):
+    """(eta, r_s, r_p) on the radiation branch, for xi already bounded
+    to [0, 1]: eta = sqrt(n1^2 - 1 + xi^2), r_s = (xi - eta)/(xi + eta)
+    and r_p = (n1^2 xi - eta)/(n1^2 xi + eta)."""
     n1sq = cfg.n1 ** 2
     eta = np.sqrt(n1sq - 1.0 + xi ** 2)
-    r_s = (xi - eta) / (xi + eta)
-    r_p = (n1sq * xi - eta) / (n1sq * xi + eta)
+    return eta, (xi - eta) / (xi + eta), (n1sq * xi - eta) / (n1sq * xi + eta)
+
+
+def _transmission(cfg: InterfaceConfig, xi, w=1.0):
+    """(eta, w T_s/xi, w T_p/xi) on the evanescent branch, for xi already
+    bounded to [0, sqrt(n1^2 - 1)]: eta = sqrt(n1^2 - 1 - xi^2),
+    T_s/xi = 2 eta/(n1^2 - 1) and
+    T_p/xi = (2 n1^2/(n1^2 - 1)) eta/((n1^2 + 1) xi^2 + 1).  The default
+    w = 1 gives the ratios, regular at xi = 0; w = xi gives T_s and T_p,
+    rounded as products (w multiplies before eta does)."""
+    n1sq = cfg.n1 ** 2
+    eta = np.sqrt(np.maximum(n1sq - 1.0 - xi ** 2, 0.0))
+    return (eta, 2.0 * w * eta / (n1sq - 1.0),
+            (2.0 * n1sq / (n1sq - 1.0)) * w * eta
+            / ((n1sq + 1.0) * xi ** 2 + 1.0))
+
+
+def fresnel(cfg: InterfaceConfig, xi):
+    """Radiation-branch reflection coefficients (r_s, r_p) of the
+    vacuum-side field, for xi in [0, 1] (see _reflection)."""
+    _, r_s, r_p = _reflection(cfg, _bounded(xi, 1.0, "fresnel"))
     return r_s, r_p
 
 
 def transmittance(cfg: InterfaceConfig, xi):
-    """Evanescent-branch energy transmittances of the two polarizations.
-
-    T_s = 2 xi sqrt(n1^2 - 1 - xi^2) / (n1^2 - 1) and
-    T_p = (2 n1^2/(n1^2 - 1)) xi sqrt(n1^2 - 1 - xi^2)
-          / ((n1^2 + 1) xi^2 + 1), for xi in [0, sqrt(n1^2 - 1)].
-    Both vanish at the endpoints of the branch.
-    """
+    """Evanescent-branch energy transmittances (T_s, T_p) of the two
+    polarizations, for xi in [0, sqrt(n1^2 - 1)] (see _transmission).
+    Both vanish at the endpoints of the branch."""
     xi = _bounded(xi, cfg.xi_max, "transmittance")
-    n1sq = cfg.n1 ** 2
-    eta = np.sqrt(np.maximum(n1sq - 1.0 - xi ** 2, 0.0))
-    t_s = 2.0 * xi * eta / (n1sq - 1.0)
-    t_p = (2.0 * n1sq / (n1sq - 1.0)) * xi * eta / ((n1sq + 1.0) * xi ** 2 + 1.0)
+    _, t_s, t_p = _transmission(cfg, xi, xi)
     return t_s, t_p
-
-
-def axis_coefficients(cfg: InterfaceConfig, xi, branch: str):
-    """Combinations weighting a surface-normal vs an in-plane dipole.
-
-    Evanescent branch: (T_perp, T_par) = ((1 + xi^2) T_p, T_s + xi^2 T_p).
-    Radiation branch:  (r_perp, r_par) = ((1 - xi^2) r_p, r_s - xi^2 r_p).
-    """
-    if branch == "evanescent":
-        t_s, t_p = transmittance(cfg, xi)
-        xi = np.asarray(xi, dtype=float)
-        return (1.0 + xi ** 2) * t_p, t_s + xi ** 2 * t_p
-    if branch == "radiation":
-        r_s, r_p = fresnel(cfg, xi)
-        xi = np.asarray(xi, dtype=float)
-        return (1.0 - xi ** 2) * r_p, r_s - xi ** 2 * r_p
-    raise ValueError(f"unknown branch {branch!r}")
 
 
 def brewster_xi(cfg: InterfaceConfig) -> float:
@@ -305,20 +292,18 @@ def spin_density(cfg: InterfaceConfig, point: ModePoint, x_nm: float) -> np.ndar
     electric spin (a real polarization), so the zero vector is returned.
 
     Evanescent p modes:
-        (2 n1^2/(n1^2-1)) * ((n1^2-1-xi^2)/((n1^2+1) xi^2 + 1))
-        * xi sqrt(1+xi^2) e^{-2 xi k0 x} (Khat x xhat),
+        (T_p/xi) eta xi sqrt(1+xi^2) e^{-2 xi k0 x} (Khat x xhat),
+    with (T_p/xi) eta = (2 n1^2/(n1^2-1)) (n1^2-1-xi^2)/((n1^2+1) xi^2 + 1),
     radiation p modes (j=2):
         xi sqrt(1-xi^2) r_p sin(2 xi k0 x) (Khat x xhat).
     """
     if point.q == "s":
         return np.zeros(3)
     tv = khat_cross_xhat(point.phi)
-    n1sq = cfg.n1 ** 2
     if point.branch == "evanescent":
         xi = float(_bounded(point.xi, cfg.xi_max, "spin_density"))
-        pref = (2.0 * n1sq / (n1sq - 1.0)) * (
-            (n1sq - 1.0 - xi ** 2) / ((n1sq + 1.0) * xi ** 2 + 1.0))
-        return pref * xi * np.sqrt(1.0 + xi ** 2) * np.exp(
+        eta, _, tp_over_xi = _transmission(cfg, xi)
+        return tp_over_xi * eta * xi * np.sqrt(1.0 + xi ** 2) * np.exp(
             -2.0 * xi * cfg.k0_nm * x_nm) * tv
     if point.j != 2:
         raise ValueError("radiation-branch spin density is provided for j=2 modes")
@@ -342,9 +327,8 @@ def mode_field_p(cfg: InterfaceConfig, point: ModePoint, x_nm: float) -> np.ndar
     kappa = point.kappa
     if point.branch == "evanescent":
         xi = float(_bounded(point.xi, cfg.xi_max, "mode_field_p"))
-        n1sq = cfg.n1 ** 2
-        eta = np.sqrt(max(n1sq - 1.0 - xi ** 2, 0.0))
-        t_p = 2.0 * cfg.n1 * eta / (eta + 1j * n1sq * xi)
+        eta = _transmission(cfg, xi)[0]
+        t_p = 2.0 * cfg.n1 * eta / (eta + 1j * cfg.n1 ** 2 * xi)
         return np.exp(-xi * cfg.k0_nm * x_nm) * t_p * (kappa * xv - 1j * xi * kv)
     if point.j != 2:
         raise ValueError("radiation-branch field profile is provided for j=2 modes")

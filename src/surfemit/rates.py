@@ -23,15 +23,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .density import DipolePolarization, f_evan, f_rad
-from .optics import (InterfaceConfig, axis_coefficients, check_height,
-                     fresnel, transmittance)
+from .density import CHANNELS, DipolePolarization, channel_density
+from .optics import InterfaceConfig, check_height, fresnel, transmittance
 from .quadrature import (BATCH_ELEMENTS, QuadratureSpec, branch_rule,
                          height_chunks, integrate, integrate_rows)
 
 _ZETA_FLOOR = 1e-12
 
-ORACLE_CHANNELS = ("evan", "rad", "mat", "vac")
+ORACLE_CHANNELS = CHANNELS
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,18 @@ def _coefficients(cfg: InterfaceConfig, xi, branch: str):
         return t_s, t_p, xi ** 2
     r_s, r_p = fresnel(cfg, xi)
     return r_s, r_p, -xi ** 2
+
+
+def axis_coefficients(cfg: InterfaceConfig, xi, branch: str):
+    """Combinations weighting a surface-normal vs an in-plane dipole,
+    ((1 + sq) c_p, c_s + sq c_p) of _coefficients:
+    evanescent, ((1 + xi^2) T_p, T_s + xi^2 T_p);
+    radiation, ((1 - xi^2) r_p, r_s - xi^2 r_p).
+    """
+    if branch not in ("evanescent", "radiation"):
+        raise ValueError(f"unknown branch {branch!r}")
+    c_s, c_p, sq = _coefficients(cfg, xi, branch)
+    return (1.0 + sq) * c_p, c_s + sq * c_p
 
 
 def _rate_kernel(ux2: float, xi, coef):
@@ -424,21 +435,16 @@ def oracle_integrate(cfg: InterfaceConfig, dip: DipolePolarization,
     nodes, weights = np.polynomial.legendre.leggauss(n_phi)
     phi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
     w_phi = 0.5 * (hi - lo) * weights
-    field = {"rad": "f_rad", "mat": "f_rad_mat", "vac": "f_rad_vac"}.get(
-        channel)
-
-    def density(xi):
-        if field is None:
-            return f_evan(cfg, dip, xi, phi[None, :], x_nm)[2]
-        return getattr(f_rad(cfg, dip, xi, phi[None, :], x_nm), field)
 
     def g(xi):
         # each node costs n_phi density values; keep a block of nodes
         # within BATCH_ELEMENTS of them
         step = max(1, BATCH_ELEMENTS // n_phi)
         return np.concatenate([
-            xi[i:i + step] * (density(xi[i:i + step, None]) @ w_phi)
+            xi[i:i + step] * (channel_density(
+                cfg, dip, xi[i:i + step, None], phi[None, :], x_nm, channel)
+                @ w_phi)
             for i in range(0, xi.size, step)])
 
-    branch = "evanescent" if field is None else "radiation"
+    branch = "evanescent" if channel == "evan" else "radiation"
     return _branch_integral(cfg, branch, g, x_nm, quad)

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import (DensityBreakdown, DipolePolarization, critical_theta,
-                      f_evan, f_rad, pattern)
+from .density import (DipolePolarization, critical_theta, f_evan, f_rad,
+                      pattern)
 from .optics import InterfaceConfig, check_height
 from .quadrature import QuadratureSpec
 # rate_report is unused here: bench/ times and traces it as sweep's own
@@ -88,8 +88,12 @@ class SweepRequest:
         check_height(self.x_nm)
         if self.grid_n < 16:
             raise ValueError("grid_n must be at least 16")
-        if self.grid_extent is not None and not self.grid_extent > 0.0:
-            raise ValueError("grid_extent must be positive")
+        # the grid's axis spans 2 * grid_extent; where that overflows,
+        # np.linspace gives NaN kappa values
+        if self.grid_extent is not None and not (
+                0.0 < 2.0 * self.grid_extent < math.inf):
+            raise ValueError("grid_extent must be positive, with a finite "
+                             f"span 2 * grid_extent, got {self.grid_extent!r}")
         if self.plane not in ("xz", "xy"):
             raise ValueError(f"plane must be 'xz' or 'xy', got {self.plane!r}")
         if self.n_angles < 4:

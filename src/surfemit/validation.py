@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (DipolePolarization, delta_f, delta_f_equivalences,
-                      f_evan, f_evan_limit_kappa1, f_rad, f_rad_limit_kappa1,
+from .density import (CHANNELS, DipolePolarization, channel_density, delta_f,
+                      delta_f_equivalences, f_evan, f_evan_limit_kappa1, f_rad,
                       pattern)
 from .optics import (InterfaceConfig, ModePoint, brewster_xi, fresnel,
                      khat, mode_polarization_p, mode_polarization_s,
@@ -47,7 +47,7 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _check_tensor_decomposition(cfg, rng):
+def _check_tensor_decomposition(cfg, rng, quad):
     worst = 0.0
     for _ in range(200):
         d = _random_cvec(rng)
@@ -59,7 +59,7 @@ def _check_tensor_decomposition(cfg, rng):
     return worst < 1e-12, f"max scaled error {worst:.3e}"
 
 
-def _check_tensor_real_pairs(cfg, rng):
+def _check_tensor_real_pairs(cfg, rng, quad):
     worst = 0.0
     for _ in range(50):
         d = rng.normal(size=3)
@@ -69,7 +69,7 @@ def _check_tensor_real_pairs(cfg, rng):
     return worst < 1e-14, f"max |vector part| {worst:.3e}"
 
 
-def _check_fresnel_limits(cfg, rng):
+def _check_fresnel_limits(cfg, rng, quad):
     rs0, rp0 = fresnel(cfg, 0.0)
     rsb, rpb = fresnel(cfg, brewster_xi(cfg))
     rs1, rp1 = fresnel(cfg, 1.0)
@@ -80,7 +80,7 @@ def _check_fresnel_limits(cfg, rng):
     return bool(ok), f"endpoint errors {max(errs):.3e}"
 
 
-def _check_transmittance_range(cfg, rng):
+def _check_transmittance_range(cfg, rng, quad):
     grid = np.linspace(0.0, cfg.xi_max, 501)
     ts, tp = transmittance(cfg, grid)
     edge = max(abs(ts[0]), abs(tp[0]), abs(ts[-1]), abs(tp[-1]))
@@ -88,7 +88,7 @@ def _check_transmittance_range(cfg, rng):
     return bool(ok), f"endpoint residual {edge:.3e}"
 
 
-def _check_mode_polarizations_unit(cfg, rng):
+def _check_mode_polarizations_unit(cfg, rng, quad):
     worst = 0.0
     for _ in range(40):
         phi = rng.uniform(0.0, 2.0 * np.pi)
@@ -107,7 +107,7 @@ def _check_mode_polarizations_unit(cfg, rng):
     return worst < 1e-12, f"max |norm-1| {worst:.3e}"
 
 
-def _check_spin_transverse(cfg, rng):
+def _check_spin_transverse(cfg, rng, quad):
     worst = 0.0
     for _ in range(20):
         phi = rng.uniform(0.0, 2.0 * np.pi)
@@ -123,7 +123,7 @@ def _check_spin_transverse(cfg, rng):
     return worst < 1e-12, f"max residual {worst:.3e}"
 
 
-def _check_density_sum_rules(cfg, rng):
+def _check_density_sum_rules(cfg, rng, quad):
     worst = 0.0
     for _ in range(30):
         dip = _random_dipole(rng)
@@ -146,32 +146,25 @@ def _check_density_sum_rules(cfg, rng):
     return worst < 1e-12, f"max relative residual {worst:.3e}"
 
 
-def _check_density_side_difference(cfg, rng):
+def _check_density_side_difference(cfg, rng, quad):
     worst = 0.0
-    channels = (("evan", None), ("rad", None), ("mat", None), ("vac", None))
     for _ in range(20):
         dip = _random_dipole(rng)
         x = rng.uniform(0.0, 600.0)
         phi = rng.uniform(0.0, 2.0 * np.pi)
         xi_e = rng.uniform(1e-3, cfg.xi_max - 1e-3)
         xi_r = rng.uniform(1e-3, 1.0 - 1e-3)
-        for channel, _ in channels:
+        for channel in CHANNELS:
             xi = xi_e if channel == "evan" else xi_r
             closed = delta_f(cfg, dip, xi, phi, x, channel)
-            if channel == "evan":
-                here = f_evan(cfg, dip, xi, phi, x)[2]
-                there = f_evan(cfg, dip, xi, phi + np.pi, x)[2]
-            else:
-                attr = {"rad": "f_rad", "mat": "f_rad_mat",
-                        "vac": "f_rad_vac"}[channel]
-                here = getattr(f_rad(cfg, dip, xi, phi, x), attr)
-                there = getattr(f_rad(cfg, dip, xi, phi + np.pi, x), attr)
+            here = channel_density(cfg, dip, xi, phi, x, channel)
+            there = channel_density(cfg, dip, xi, phi + np.pi, x, channel)
             scale = max(abs(here), abs(there), 1e-30)
             worst = max(worst, abs((here - there) - closed) / scale)
     return worst < 1e-11, f"max scaled residual {worst:.3e}"
 
 
-def _check_delta_equivalence_routes(cfg, rng):
+def _check_delta_equivalence_routes(cfg, rng, quad):
     worst = 0.0
     for _ in range(20):
         dip = _random_dipole(rng)
@@ -188,18 +181,17 @@ def _check_delta_equivalence_routes(cfg, rng):
     return worst < 1e-11, f"max scaled spread {worst:.3e}"
 
 
-def _check_branch_point_continuity(cfg, rng):
+def _check_branch_point_continuity(cfg, rng, quad):
     worst = 0.0
     for _ in range(10):
         dip = _random_dipole(rng)
         phi = rng.uniform(0.0, 2.0 * np.pi)
         x = rng.uniform(0.0, 400.0)
-        lim_e = f_evan_limit_kappa1(cfg, dip, phi)
-        lim_r = f_rad_limit_kappa1(cfg, dip, phi)
-        worst = max(worst, _rel(lim_e, lim_r))
+        # both branches approach the one kappa = 1 limit
+        lim = f_evan_limit_kappa1(cfg, dip, phi)
         near_e = f_evan(cfg, dip, 1e-8, phi, x)[2]
         near_r = f_rad(cfg, dip, 1e-8, phi, x).f_rad
-        worst = max(worst, _rel(near_e, lim_e), _rel(near_r, lim_r))
+        worst = max(worst, _rel(near_e, lim), _rel(near_r, lim))
     return worst < 1e-6, f"max relative gap {worst:.3e}"
 
 
@@ -272,7 +264,7 @@ def _check_oracle_directional(cfg, rng, quad):
     return err < 1e-7, f"relative deviation {err:.3e}"
 
 
-def _check_pattern_nonnegative(cfg, rng):
+def _check_pattern_nonnegative(cfg, rng, quad):
     dip = _random_dipole(rng)
     x = rng.uniform(0.0, 300.0)
     tc = math.asin(1.0 / cfg.n1)
@@ -303,7 +295,7 @@ def run_checks(cfg: InterfaceConfig | None = None,
     if quad is None:
         quad = QuadratureSpec()
     rng = np.random.default_rng(seed)
-    plain = [
+    checks = [
         ("tensor_decomposition", _check_tensor_decomposition),
         ("tensor_real_pairs", _check_tensor_real_pairs),
         ("fresnel_limits", _check_fresnel_limits),
@@ -315,8 +307,6 @@ def run_checks(cfg: InterfaceConfig | None = None,
         ("delta_equivalence_routes", _check_delta_equivalence_routes),
         ("branch_point_continuity", _check_branch_point_continuity),
         ("pattern_nonnegative", _check_pattern_nonnegative),
-    ]
-    quad_checks = [
         ("rate_composition", _check_rate_composition),
         ("rate_ux2_dependence", _check_rate_ux2_dependence),
         ("material_rate_constant", _check_material_rate_constant),
@@ -325,13 +315,7 @@ def run_checks(cfg: InterfaceConfig | None = None,
         ("large_distance_unity", _check_large_distance_unity),
     ]
     results = []
-    for name, fn in plain:
-        try:
-            passed, detail = fn(cfg, rng)
-        except Exception as exc:
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, bool(passed), detail))
-    for name, fn in quad_checks:
+    for name, fn in checks:
         try:
             passed, detail = fn(cfg, rng, quad)
         except Exception as exc:

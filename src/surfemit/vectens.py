@@ -75,10 +75,6 @@ def scalar_product(a, b) -> complex:
     return complex(np.sum(a * b))
 
 
-def vector_product(a, b) -> np.ndarray:
-    return np.cross(as_cvector(a), as_cvector(b))
-
-
 def ellipticity_vector(a) -> np.ndarray:
     """The real vector i [A* x A], characterizing the ellipticity of A.
 

@@ -16,13 +16,13 @@ import pytest
 
 from helpers import random_dipole, random_real_dipole, rel_err
 from surfemit import (DipolePolarization, InterfaceConfig, ResultTable,
-                      decompose_coupling, delta_rates, f_evan,
-                      f_evan_limit_kappa1, f_rad, gamma_evan, gamma_mat_vac,
+                      delta_rates, gamma_evan, gamma_mat_vac,
                       gamma_rad, gamma_total, oracle_integrate, rate_report,
                       side_rates)
 from surfemit.cli import run
-from surfemit.density import delta_f, delta_f_equivalences
-from surfemit.vectens import scalar_product
+from surfemit.density import (delta_f, delta_f_equivalences, f_evan,
+                              f_evan_limit_kappa1, f_rad)
+from surfemit.vectens import decompose_coupling, scalar_product
 
 
 @pytest.fixture(scope="module")

@@ -137,6 +137,9 @@ def test_bad_n1_rejected(capsys):
     ["rates", "--n1=inf"],
     ["rates", "--wavelength-nm=inf"],
     ["density", "--x-nm=inf"],
+    # the grid's span 2 * extent overflows
+    ["density", "--grid-extent=inf"],
+    ["density", "--grid-extent=1e308"],
 ])
 def test_nonfinite_inputs_rejected(capsys, argv):
     assert run(argv) == 1

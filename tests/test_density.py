@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import random_dipole, random_real_dipole, rel_err
-from surfemit import DipolePolarization, f_evan, f_rad, pattern, zeta_f
-from surfemit.density import (DIPOLE_PRESETS, PATTERN_ZONES, critical_theta,
-                              delta_f, delta_f_equivalences,
-                              f_evan_limit_kappa1, f_rad_limit_kappa1)
+from surfemit.density import (CHANNELS, DIPOLE_PRESETS, PATTERN_ZONES,
+                              DipolePolarization, channel_density,
+                              critical_theta, delta_f, delta_f_equivalences,
+                              f_evan, f_evan_limit_kappa1, f_rad, pattern,
+                              zeta_f)
 
 
 def textbook_evan(cfg, u, xi, phi, x):
@@ -110,13 +111,12 @@ def test_branch_point_limits_agree(cfg, rng):
     phi = np.linspace(0.0, 2.0 * np.pi, 17)
     for _ in range(6):
         dip = random_dipole(rng)
-        lim_e = f_evan_limit_kappa1(cfg, dip, phi)
-        lim_r = f_rad_limit_kappa1(cfg, dip, phi)
-        assert np.allclose(lim_e, lim_r, rtol=1e-14)
+        # both branches approach the one kappa = 1 limit
+        lim = f_evan_limit_kappa1(cfg, dip, phi)
         near = f_evan(cfg, dip, 1e-8, phi, 90.0)[2]
-        assert np.allclose(near, lim_e, rtol=1e-6)
+        assert np.allclose(near, lim, rtol=1e-6)
         near_r = f_rad(cfg, dip, 1e-8, phi, 90.0).f_rad
-        assert np.allclose(near_r, lim_r, rtol=1e-6)
+        assert np.allclose(near_r, lim, rtol=1e-6)
 
 
 def test_frozen_limit_value_normal_dipole(cfg):
@@ -138,15 +138,31 @@ def test_side_difference_matches_closed_form(cfg, rng):
         for channel, xi in (("evan", xi_e), ("rad", xi_r), ("mat", xi_r),
                             ("vac", xi_r)):
             closed = delta_f(cfg, dip, xi, phi, x, channel)
-            if channel == "evan":
-                a = f_evan(cfg, dip, xi, phi, x)[2]
-                b = f_evan(cfg, dip, xi, phi + np.pi, x)[2]
-            else:
-                attr = {"rad": "f_rad", "mat": "f_rad_mat",
-                        "vac": "f_rad_vac"}[channel]
-                a = getattr(f_rad(cfg, dip, xi, phi, x), attr)
-                b = getattr(f_rad(cfg, dip, xi, phi + np.pi, x), attr)
+            a = channel_density(cfg, dip, xi, phi, x, channel)
+            b = channel_density(cfg, dip, xi, phi + np.pi, x, channel)
             assert abs((a - b) - closed) < 1e-11 * max(a, b, 1e-3)
+
+
+def test_channel_density_is_the_family_total_bit_for_bit(cfg, rng):
+    dip = random_dipole(rng)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=64)
+    xi_e = rng.uniform(0.0, cfg.xi_max, size=64)
+    xi_r = rng.uniform(0.0, 1.0, size=64)
+    br = f_rad(cfg, dip, xi_r, phi, 120.0)
+    expected = {"evan": f_evan(cfg, dip, xi_e, phi, 120.0)[2],
+                "rad": br.f_rad, "mat": br.f_rad_mat, "vac": br.f_rad_vac}
+    assert CHANNELS == tuple(expected)
+    for channel, want in expected.items():
+        xi = xi_e if channel == "evan" else xi_r
+        got = channel_density(cfg, dip, xi, phi, 120.0, channel)
+        assert np.array_equal(got, want)
+
+
+def test_channel_density_rejects_an_unknown_channel(cfg):
+    dip = DipolePolarization.from_preset("x")
+    with pytest.raises(ValueError, match="unknown channel 'f_rad'") as exc:
+        channel_density(cfg, dip, 0.3, 0.0, 0.0, "f_rad")
+    assert "\n" not in str(exc.value)
 
 
 def test_delta_f_unknown_channel(cfg):

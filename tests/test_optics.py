@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from surfemit import InterfaceConfig, ModePoint
-from surfemit.optics import (axis_coefficients, brewster_xi, fresnel,
+from surfemit.optics import (InterfaceConfig, ModePoint, brewster_xi, fresnel,
                              interference_norm, khat, khat_cross_xhat,
                              mode_ellipticity, mode_field_p,
                              mode_polarization_p, mode_polarization_s,
@@ -81,20 +80,6 @@ def test_transmittance_peak_location(cfg):
     xi_star = np.sqrt((1.45 ** 2 - 1.0) / 2.0)
     t_s, _ = transmittance(cfg, xi_star)
     assert t_s == pytest.approx(1.0, abs=1e-15)
-
-
-def test_axis_coefficients_match_kernels(cfg):
-    xi = 0.37
-    t_s, t_p = transmittance(cfg, xi)
-    perp, par = axis_coefficients(cfg, xi, "evanescent")
-    assert perp == pytest.approx((1.0 + xi ** 2) * t_p, rel=1e-15)
-    assert par == pytest.approx(t_s + xi ** 2 * t_p, rel=1e-15)
-    r_s, r_p = fresnel(cfg, xi)
-    perp, par = axis_coefficients(cfg, xi, "radiation")
-    assert perp == pytest.approx((1.0 - xi ** 2) * r_p, rel=1e-15)
-    assert par == pytest.approx(r_s - xi ** 2 * r_p, rel=1e-15)
-    with pytest.raises(ValueError):
-        axis_coefficients(cfg, xi, "bound")
 
 
 @pytest.mark.parametrize("coefficients", [fresnel, transmittance])

@@ -10,7 +10,9 @@ from surfemit import (DipolePolarization, InterfaceConfig, QuadratureSpec,
                       asymmetry, axis_rates, delta_rates, gamma_evan,
                       gamma_mat_vac, gamma_rad, gamma_total, oracle_integrate,
                       rate_report, side_rates)
-from surfemit.rates import ORACLE_CHANNELS, RateReport, _zeta
+from surfemit.optics import fresnel, transmittance
+from surfemit.rates import (ORACLE_CHANNELS, RateReport, _zeta,
+                            axis_coefficients)
 
 
 def test_peak_enhancement_frozen(cfg):
@@ -86,6 +88,20 @@ def test_axis_rates_match_general_formulas(cfg):
         assert rel_err(gamma_evan(cfg, uy, x), par_e) < 1e-10
         assert rel_err(gamma_rad(cfg, ux, x), perp_r) < 1e-10
         assert rel_err(gamma_rad(cfg, uy, x), par_r) < 1e-10
+
+
+def test_axis_coefficients_match_kernels(cfg):
+    xi = 0.37
+    t_s, t_p = transmittance(cfg, xi)
+    perp, par = axis_coefficients(cfg, xi, "evanescent")
+    assert perp == pytest.approx((1.0 + xi ** 2) * t_p, rel=1e-15)
+    assert par == pytest.approx(t_s + xi ** 2 * t_p, rel=1e-15)
+    r_s, r_p = fresnel(cfg, xi)
+    perp, par = axis_coefficients(cfg, xi, "radiation")
+    assert perp == pytest.approx((1.0 - xi ** 2) * r_p, rel=1e-15)
+    assert par == pytest.approx(r_s - xi ** 2 * r_p, rel=1e-15)
+    with pytest.raises(ValueError):
+        axis_coefficients(cfg, xi, "bound")
 
 
 def test_rates_depend_only_on_ux_squared(cfg, rng):

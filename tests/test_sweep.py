@@ -30,6 +30,8 @@ def test_request_validation(cfg):
         SweepRequest(config=cfg, dipole=dip, x_nm=(-3.0,))
     with pytest.raises(ValueError, match="grid_extent"):
         SweepRequest(config=cfg, dipole=dip, grid_extent=0.0)
+    with pytest.raises(ValueError, match="finite span"):
+        SweepRequest(config=cfg, dipole=dip, grid_extent=1e308)
     with pytest.raises(ValueError, match="channels"):
         SweepRequest(config=cfg, dipole=dip, channels=("f_bogus",))
 

@@ -11,9 +11,7 @@ algebra in surfemit.vectens.
 from .density import DIPOLE_PRESETS, DipolePolarization
 from .optics import InterfaceConfig
 from .quadrature import QuadratureError, QuadratureSpec
-from .rates import (MaterialVacuumSplit, RateReport, asymmetry, axis_rates,
-                    delta_rates, gamma_evan, gamma_mat_vac, gamma_rad,
-                    gamma_total, oracle_integrate, rate_report, side_rates)
+from .rates import RateReport, axis_rates, oracle_integrate, rate_report
 from .sweep import (ResultTable, SweepRequest, grid_density, scan_pattern,
                     sweep_asymmetry, sweep_rates)
 
@@ -21,9 +19,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DIPOLE_PRESETS", "DipolePolarization", "InterfaceConfig",
-    "MaterialVacuumSplit", "QuadratureError", "QuadratureSpec", "RateReport",
-    "ResultTable", "SweepRequest", "asymmetry", "axis_rates", "delta_rates",
-    "gamma_evan", "gamma_mat_vac", "gamma_rad", "gamma_total",
-    "grid_density", "oracle_integrate", "rate_report", "scan_pattern",
-    "side_rates", "sweep_asymmetry", "sweep_rates", "__version__",
+    "QuadratureError", "QuadratureSpec", "RateReport", "ResultTable",
+    "SweepRequest", "axis_rates", "grid_density", "oracle_integrate",
+    "rate_report", "scan_pattern", "sweep_asymmetry", "sweep_rates",
+    "__version__",
 ]

@@ -32,6 +32,12 @@ class CliError(Exception):
     """One-line user-facing diagnostic; maps to exit code 1."""
 
 
+# the flag that sets each SweepRequest field the CLI fills
+_FIELD_FLAGS = {"x_nm": "--x-nm", "x_fixed_nm": "--x-nm", "grid_n": "--grid-n",
+                "grid_extent": "--grid-extent", "plane": "--plane",
+                "n_angles": "--n-theta"}
+
+
 def _add_common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--n1", type=float, default=None,
                      help="refractive index of the dielectric (default 1.45)")
@@ -290,7 +296,9 @@ def _dispatch(args) -> int:
                                                  0.0)))
             table = scan_pattern(req)
     except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+        # a SweepRequest message starts with the field it rejects
+        flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
+        raise CliError(f"{flag}: {exc}" if flag else str(exc)) from exc
     if table is None:
         # the grid goes from the kernels to the writer a block at a time
         return _emit(*_grid_layout(req), _grid_blocks(req), args, file_cfg)

@@ -5,12 +5,14 @@ azimuthally pre-integrated kernels in the out-of-plane mode coordinate
 xi, plus four cached static moments.  The azimuthal integration is
 analytic: total rates depend on the dipole polarization only through
 |u_x|^2, side differences through Im(u_x* u_z), and the
-dielectric-output difference through Re(u_x* u_z).  A single height
-and a whole sweep (`rate_columns`) go through the same adaptive
-integrator, a sweep as one stack of rows per branch.  `oracle_integrate`
+dielectric-output difference through Re(u_x* u_z).  One route
+integrates them: `rate_columns` takes a sweep of heights as one stack
+of rows per branch, and `rate_report` is its one-height case, every
+RateReport field from a sweep of one row.  Two routes cross-check it:
+`axis_rates` integrates the single-coefficient kernels of a
+surface-normal and an in-plane dipole, and `oracle_integrate`
 deliberately avoids all of that and performs the raw two-dimensional
-quadrature over the angular densities of the density module; it exists
-solely to cross-check the closed forms.
+quadrature over the angular densities of the density module.
 
 Conventions: rates in units of the free-space rate, distances in nm,
 "plus"/"minus" refer to emission into the z > 0 / z < 0 half-spaces.
@@ -25,26 +27,11 @@ import numpy as np
 
 from .density import CHANNELS, DipolePolarization, channel_density
 from .optics import InterfaceConfig, check_height, fresnel, transmittance
-from .quadrature import (BATCH_ELEMENTS, QuadratureSpec, branch_rule,
-                         height_chunks, integrate, integrate_rows)
+from .quadrature import (BATCH_ELEMENTS, QuadratureError, QuadratureSpec,
+                         branch_rule, height_chunks, integrate,
+                         integrate_rows)
 
 _ZETA_FLOOR = 1e-12
-
-ORACLE_CHANNELS = CHANNELS
-
-
-@dataclass(frozen=True)
-class MaterialVacuumSplit:
-    """Radiation rates resolved by output side of the interface."""
-
-    gamma_rad_mat: float
-    gamma_rad_vac: float
-    delta_rad_mat: float
-    delta_rad_vac: float
-    gamma_rad_mat_plus: float
-    gamma_rad_mat_minus: float
-    gamma_rad_vac_plus: float
-    gamma_rad_vac_minus: float
 
 
 @dataclass(frozen=True)
@@ -137,7 +124,7 @@ def _decay(phase):
     return np.exp(-phase)
 
 
-# The four height-dependent integrals, in the order rate_report takes
+# The four height-dependent integrals, in the order _columns takes
 # them: name -> (branch, factor of the phase 2 k0 x xi, kernel).
 _INTEGRALS = {
     "evan": ("evanescent", _decay, _rate_kernel),
@@ -155,33 +142,23 @@ def _branch_integral(cfg: InterfaceConfig, branch: str, g, x_nm: float,
                      quad)
 
 
-def _integral(cfg: InterfaceConfig, ux2: float, x_nm: float,
-              quad: QuadratureSpec, name: str) -> float:
-    """One of the _INTEGRALS at one height."""
-    branch, factor, kernel = _INTEGRALS[name]
-    two_k0x = 2.0 * cfg.k0_nm * x_nm
-
-    def g(xi):
-        return factor(two_k0x * xi) * kernel(
-            ux2, xi, _coefficients(cfg, xi, branch))
-
-    return _branch_integral(cfg, branch, g, x_nm, quad)
-
-
 def _zeta(delta, gamma):
-    """delta/gamma, undefined (as opposed to zero) where |gamma| < 1e-12:
-    None for one height, NaN cells for an array of heights."""
-    gamma = np.asarray(gamma, dtype=float)
+    """delta/gamma over heights, NaN (undefined, as opposed to zero)
+    where |gamma| < 1e-12."""
     defined = np.abs(gamma) >= _ZETA_FLOOR
-    if gamma.ndim == 0:
-        return float(delta / gamma) if defined else None
     return np.where(defined, delta / np.where(defined, gamma, 1.0), np.nan)
 
 
 def _columns(cfg: InterfaceConfig, dip: DipolePolarization,
              quad: QuadratureSpec, evan, osc, delta_evan, delta_rad) -> tuple:
     """Every RateReport field, in field order, from the four integrals
-    (floats, or arrays over heights) and the static moments."""
+    (arrays over heights) and the static moments.
+
+    gamma_evan = (3/4) evan, gamma_rad = 1 + (3/4) osc (free space plus
+    the interference), and delta = (6/pi) Im(u_x* u_z) times its
+    integral.  The dielectric-output pair depends on no height: the
+    vacuum-output pair carries the whole oscillation and asymmetry.
+    """
     g_evan = 0.75 * evan
     osc = 0.75 * osc
     g_rad = 1.0 + osc
@@ -209,55 +186,6 @@ def _columns(cfg: InterfaceConfig, dip: DipolePolarization,
             0.5 * (g_mat + d_mat), 0.5 * (g_mat - d_mat),
             0.5 * (g_vac + d_vac), 0.5 * (g_vac - d_vac),
             _zeta(d_evan, g_evan), _zeta(d_rad, g_rad), _zeta(d_tot, g_tot))
-
-
-def gamma_evan(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
-               quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Rate of emission into evanescent modes, all directions.
-
-    (3/4) * integral over xi in [0, sqrt(n1^2-1)] of
-    {(1-|u_x|^2) T_s + [|u_x|^2 (2+xi^2) + xi^2] T_p} e^{-2 xi k0 x}.
-    """
-    return 0.75 * _integral(cfg, _ux2(dip), x_nm, quad, "evan")
-
-
-def gamma_rad(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
-              quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Rate of emission into radiation modes, all directions.
-
-    1 + (3/4) * integral over xi in [0, 1] of
-    {(1-|u_x|^2) r_s + [|u_x|^2 (2-xi^2) - xi^2] r_p} cos(2 xi k0 x),
-    the free-space rate plus the emitted/reflected interference.
-    """
-    return 1.0 + 0.75 * _integral(cfg, _ux2(dip), x_nm, quad, "osc")
-
-
-def gamma_total(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
-                quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Total emission rate, the sum of both channels."""
-    return (gamma_evan(cfg, dip, x_nm, quad)
-            + gamma_rad(cfg, dip, x_nm, quad))
-
-
-def delta_rates(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
-                quad: QuadratureSpec = QuadratureSpec()):
-    """Side differences (delta_evan, delta_rad, delta_total).
-
-    Each is the z > 0 rate minus the z < 0 rate for its channel; all
-    three are proportional to Im(u_x* u_z).
-    """
-    pref = (6.0 / np.pi) * _im_xz(dip)
-    d_evan = pref * _integral(cfg, 0.0, x_nm, quad, "delta_evan")
-    d_rad = pref * _integral(cfg, 0.0, x_nm, quad, "delta_rad")
-    return d_evan, d_rad, d_evan + d_rad
-
-
-def side_rates(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
-               quad: QuadratureSpec = QuadratureSpec()):
-    """Half-space resolved rates (evan+, evan-, rad+, rad-, total+, total-)."""
-    r = rate_report(cfg, dip, x_nm, quad)
-    return (r.gamma_evan_plus, r.gamma_evan_minus, r.gamma_rad_plus,
-            r.gamma_rad_minus, r.gamma_plus, r.gamma_minus)
 
 
 @lru_cache(maxsize=64)
@@ -294,43 +222,6 @@ def _static_moments(cfg: InterfaceConfig, quad: QuadratureSpec):
             _branch_integral(cfg, "radiation", sq_j, 0.0, quad))
 
 
-def gamma_mat_vac(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
-                  quad: QuadratureSpec = QuadratureSpec()) -> MaterialVacuumSplit:
-    """Radiation rates resolved by output side.
-
-    The dielectric-output rate and its side difference are independent
-    of the emitter height; the vacuum-output pair carries the whole
-    interference oscillation and the whole spin-driven asymmetry.
-    """
-    ux2 = _ux2(dip)
-    # the split involves neither evanescent integral
-    values = dict(zip(RateReport.COLUMNS, _columns(
-        cfg, dip, quad, 0.0, _integral(cfg, ux2, x_nm, quad, "osc"), 0.0,
-        _integral(cfg, ux2, x_nm, quad, "delta_rad"))))
-    return MaterialVacuumSplit(**{f.name: float(values[f.name])
-                                  for f in fields(MaterialVacuumSplit)})
-
-
-def asymmetry(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
-              quad: QuadratureSpec = QuadratureSpec()):
-    """Asymmetry factors (zeta_evan, zeta_rad, zeta_total) = delta/gamma.
-
-    A factor is None (undefined, as opposed to zero) when its
-    denominator is smaller than 1e-12.
-    """
-    r = rate_report(cfg, dip, x_nm, quad)
-    return r.zeta_evan, r.zeta_rad, r.zeta_total
-
-
-def rate_report(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
-                quad: QuadratureSpec = QuadratureSpec()) -> RateReport:
-    """Assemble the full RateReport at one emitter height."""
-    ux2 = _ux2(dip)
-    values = _columns(cfg, dip, quad, *(
-        _integral(cfg, ux2, x_nm, quad, name) for name in _INTEGRALS))
-    return RateReport(*values)
-
-
 def rate_columns(cfg: InterfaceConfig, dip: DipolePolarization, xs,
                  quad: QuadratureSpec = QuadratureSpec()):
     """RateReport columns at every height of xs (ascending) by shared panels.
@@ -341,29 +232,52 @@ def rate_columns(cfg: InterfaceConfig, dip: DipolePolarization, xs,
     height; each height enters only through its row of e^{-2 k0 x xi},
     cos or sin factors.
 
-    Returns (columns, passed): columns has one row per height and the
-    columns of RateReport.COLUMNS, NaN where an asymmetry factor is
-    undefined; passed is False where any of the four integrals missed
-    the error target max(atol, rtol |I|) within the subdivision budget.
+    Returns (columns, integrals, errors, passed).  columns has one row
+    per height and the columns of RateReport.COLUMNS, NaN where an
+    asymmetry factor is undefined.  The other three have one row per
+    height and one column per integral of _INTEGRALS: its value, its
+    summed panel error, and whether that error met the target
+    max(atol, rtol |I|) within the subdivision budget.
     """
+    check_height(xs)
     ux2 = _ux2(dip)
     two_k0x = 2.0 * cfg.k0_nm * np.asarray(xs, dtype=float)
-    integrals = np.empty((len(_INTEGRALS), two_k0x.size))
-    passed = np.ones(two_k0x.size, dtype=bool)
+    shape = (len(_INTEGRALS), two_k0x.size)
+    integrals, errors = np.empty(shape), np.empty(shape)
+    passed = np.empty(shape, dtype=bool)
     for branch in ("evanescent", "radiation"):
         picks = [i for i, spec in enumerate(_INTEGRALS.values())
                  if spec[0] == branch]
         for rows in height_chunks(two_k0x):
             run = two_k0x[rows, None]
-            values, _, ok = integrate_rows(
+            found = integrate_rows(
                 *branch_rule(cfg, branch,
                              _stacked_integrand(cfg, ux2, branch, run),
                              run[-1, 0]),
                 len(picks) * run.shape[0], quad)
-            integrals[picks, rows] = values.reshape(len(picks), -1)
-            passed[rows] &= ok.reshape(len(picks), -1).all(axis=0)
+            for out, part in zip((integrals, errors, passed), found):
+                out[picks, rows] = part.reshape(len(picks), -1)
     columns = np.broadcast_arrays(*_columns(cfg, dip, quad, *integrals))
-    return np.column_stack(columns), passed
+    return np.column_stack(columns), integrals.T, errors.T, passed.T
+
+
+def rate_report(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
+                quad: QuadratureSpec = QuadratureSpec()) -> RateReport:
+    """The full RateReport at one emitter height, the one row of
+    rate_columns.
+
+    Raises QuadratureError, carrying the value and error of the first
+    integral that missed its target, when the row did not pass.
+    """
+    (row,), (values,), (errors,), (passed,) = rate_columns(
+        cfg, dip, [x_nm], quad)
+    if not passed.all():
+        i = int(np.argmin(passed))
+        raise QuadratureError(
+            f"{list(_INTEGRALS)[i]} integral stalled at error "
+            f"{errors[i]:.3e} after {quad.max_subdivisions} panel "
+            "subdivisions", float(values[i]), float(errors[i]))
+    return RateReport(*(None if np.isnan(v) else v for v in row.tolist()))
 
 
 def _stacked_integrand(cfg: InterfaceConfig, ux2: float, branch: str,
@@ -424,9 +338,9 @@ def oracle_integrate(cfg: InterfaceConfig, dip: DipolePolarization,
 
     channel is one of 'evan', 'rad', 'mat', 'vac'.
     """
-    if channel not in ORACLE_CHANNELS:
+    if channel not in CHANNELS:
         raise ValueError(
-            f"unknown channel {channel!r}; choose from {ORACLE_CHANNELS}")
+            f"unknown channel {channel!r}; choose from {CHANNELS}")
     lo, hi = float(phi_range[0]), float(phi_range[1])
     if not hi > lo:
         raise ValueError("phi_range must be an increasing pair")

@@ -267,7 +267,8 @@ def sweep_rates(req: SweepRequest) -> ResultTable:
     failed to converge there (rate cells are then NaN).
     """
     xs = np.sort(np.asarray(req.x_nm, dtype=float))
-    values, passed = rate_columns(req.config, req.dipole, xs, req.quad)
+    values, _, _, passed = rate_columns(req.config, req.dipole, xs, req.quad)
+    passed = passed.all(axis=1)
     values[~passed] = math.nan
     status = (~passed).astype(float)
     meta = _base_metadata(req, "rates")

@@ -16,9 +16,8 @@ import pytest
 
 from helpers import random_dipole, random_real_dipole, rel_err
 from surfemit import (DipolePolarization, InterfaceConfig, ResultTable,
-                      delta_rates, gamma_evan, gamma_mat_vac,
-                      gamma_rad, gamma_total, oracle_integrate, rate_report,
-                      side_rates)
+                      SweepRequest, oracle_integrate, rate_report,
+                      sweep_rates)
 from surfemit.cli import run
 from surfemit.density import (delta_f, delta_f_equivalences, f_evan,
                               f_evan_limit_kappa1, f_rad)
@@ -37,6 +36,15 @@ def eps_reports(cfg):
     return xs, [rate_report(cfg, dip, float(x)) for x in xs]
 
 
+def sweep(cfg, preset, xs):
+    """The sweep_rates table of a preset dipole at heights xs (ascending),
+    every row converged."""
+    t = sweep_rates(SweepRequest(
+        config=cfg, dipole=DipolePolarization.from_preset(preset), x_nm=xs))
+    assert np.all(t.column("status") == 0.0)
+    return t
+
+
 def test_criterion_01_peak_enhancement(capsys):
     rc = run(["rates", "--n1", "1.45", "--wavelength-nm", "852",
               "--dipole", "x", "--x-nm", "0:800:2"])
@@ -49,19 +57,16 @@ def test_criterion_01_peak_enhancement(capsys):
 
 def test_criterion_02_material_rate_value_and_constancy(cfg):
     # any dipole with |u_x|^2 = 1/2 gives the same dielectric-side rate
-    dip = DipolePolarization.from_preset("theta-xz")
-    vals = [gamma_mat_vac(cfg, dip, float(x)).gamma_rad_mat
-            for x in np.arange(0.0, 800.1, 25.0)]
+    vals = sweep(cfg, "theta-xz",
+                 np.arange(0.0, 800.1, 25.0)).column("gamma_rad_mat")
     assert vals[0] == pytest.approx(0.40, abs=0.01)
     assert max(vals) - min(vals) < 1e-10
 
 
 def test_criterion_03_output_crossovers(cfg):
-    dip = DipolePolarization.from_preset("theta-xz")
     xs = np.arange(0.0, 500.1, 1.0)
-    splits = [gamma_mat_vac(cfg, dip, float(x)) for x in xs]
-    vac = np.array([s.gamma_rad_vac for s in splits])
-    mat = np.array([s.gamma_rad_mat for s in splits])
+    t = sweep(cfg, "theta-xz", xs)
+    vac, mat = t.column("gamma_rad_vac"), t.column("gamma_rad_mat")
     flips = np.nonzero(np.diff(np.sign(vac - mat)))[0]
     assert len(flips) == 1, "exactly one vacuum/material crossover"
     assert 190.0 <= xs[flips[0]] <= 200.0
@@ -72,9 +77,8 @@ def test_criterion_03_output_crossovers(cfg):
 
 def test_criterion_04_oscillation_period(cfg):
     # an in-plane dipole keeps the interference fringes strong far out
-    dip = DipolePolarization.from_preset("y")
     xs = np.arange(200.0, 3400.1, 2.0)
-    g = np.array([gamma_rad(cfg, dip, float(x)) for x in xs])
+    g = sweep(cfg, "y", xs).column("gamma_rad")
     inner = np.nonzero((g[1:-1] > g[:-2]) & (g[1:-1] > g[2:]))[0] + 1
     assert len(inner) >= 6
     peaks = []
@@ -89,7 +93,7 @@ def test_criterion_04_oscillation_period(cfg):
 def test_criterion_05a_total_rate_far_asymptote(cfg):
     dip = DipolePolarization.from_preset("x")
     x = 50.0 * cfg.lambda0_nm
-    assert abs(gamma_total(cfg, dip, x) - 1.0) < 0.005
+    assert abs(rate_report(cfg, dip, x).gamma_total - 1.0) < 0.005
 
 
 def test_criterion_05b_evanescent_rate_far_asymptote(cfg):
@@ -105,7 +109,7 @@ def test_criterion_05b_evanescent_rate_far_asymptote(cfg):
     a1 = 3.0 * n1sq / np.sqrt(n1sq - 1.0)
     a3 = -a1 * (n1sq + 1.0 / (2.0 * (n1sq - 1.0)))
     law = a1 / s ** 2 + 6.0 * a3 / s ** 4
-    assert rel_err(gamma_evan(cfg, dip, x), law) < 1e-7
+    assert rel_err(rate_report(cfg, dip, x).gamma_evan, law) < 1e-7
 
 
 def test_criterion_06_directionality(eps_reports):
@@ -129,23 +133,21 @@ def test_criterion_07_oracle_equivalence(cfg):
     for _ in range(20):
         dip = random_dipole(rng)
         x = float(rng.uniform(0.0, 600.0))
-        split = gamma_mat_vac(cfg, dip, x)
+        r = rate_report(cfg, dip, x)
         pairs = [
-            (gamma_evan(cfg, dip, x), oracle_integrate(cfg, dip, x, "evan")),
-            (gamma_rad(cfg, dip, x), oracle_integrate(cfg, dip, x, "rad")),
-            (split.gamma_rad_mat, oracle_integrate(cfg, dip, x, "mat")),
-            (split.gamma_rad_vac, oracle_integrate(cfg, dip, x, "vac")),
+            (r.gamma_evan, oracle_integrate(cfg, dip, x, "evan")),
+            (r.gamma_rad, oracle_integrate(cfg, dip, x, "rad")),
+            (r.gamma_rad_mat, oracle_integrate(cfg, dip, x, "mat")),
+            (r.gamma_rad_vac, oracle_integrate(cfg, dip, x, "vac")),
         ]
         e_up = oracle_integrate(cfg, dip, x, "evan", half_up)
         e_dn = oracle_integrate(cfg, dip, x, "evan", half_dn)
         r_up = oracle_integrate(cfg, dip, x, "rad", half_up)
         r_dn = oracle_integrate(cfg, dip, x, "rad", half_dn)
-        sides = side_rates(cfg, dip, x)
-        d_evan, d_rad, _ = delta_rates(cfg, dip, x)
         pairs += [
-            (sides[0], e_up), (sides[1], e_dn),
-            (sides[2], r_up), (sides[3], r_dn),
-            (d_evan, e_up - e_dn), (d_rad, r_up - r_dn),
+            (r.gamma_evan_plus, e_up), (r.gamma_evan_minus, e_dn),
+            (r.gamma_rad_plus, r_up), (r.gamma_rad_minus, r_dn),
+            (r.delta_evan, e_up - e_dn), (r.delta_rad, r_up - r_dn),
         ]
         for closed, oracle in pairs:
             assert close_enough(closed, oracle, 1e-7), (closed, oracle)
@@ -193,7 +195,8 @@ def test_criterion_10_symmetry_suite(cfg):
         dip = random_real_dipole(rng)
         x = float(rng.uniform(0.0, 700.0))
         # all side differences vanish identically
-        assert delta_rates(cfg, dip, x) == (0.0, 0.0, 0.0)
+        r = rate_report(cfg, dip, x)
+        assert (r.delta_evan, r.delta_rad, r.delta_total) == (0.0, 0.0, 0.0)
         assert np.all(delta_f(cfg, dip, xi_e, phis, x, "evan") == 0.0)
         assert np.all(delta_f(cfg, dip, xi_r, phis, x, "rad") == 0.0)
         # both densities are symmetric under phi -> phi + pi

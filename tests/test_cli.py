@@ -150,6 +150,21 @@ def test_nonfinite_inputs_rejected(capsys, argv):
     assert "finite" in res.err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["density", "--grid-n=8"], "--grid-n"),
+    (["pattern", "--n-theta=2"], "--n-theta"),
+    (["pattern", "--x-nm=-5"], "--x-nm"),
+    (["density", "--grid-extent=inf"], "--grid-extent"),
+    (["rates", "--x-nm=10,-5"], "--x-nm"),
+])
+def test_request_errors_name_their_flag(capsys, argv, flag):
+    assert run(argv) == 1
+    res = capsys.readouterr()
+    assert res.out == ""
+    assert res.err.startswith(f"error: {flag}: ") and res.err.count("\n") == 1
+    assert "Traceback" not in res.err
+
+
 def test_unknown_flag(capsys):
     assert run(["rates", "--bogus", "1"]) == 1
     capsys.readouterr()

@@ -65,7 +65,8 @@ def report_row(cfg, dip, x, quad=QuadratureSpec()):
 
 @pytest.mark.parametrize("n1", [1.2, 1.45, 2.5])
 def test_batched_sweep_matches_rate_report(n1):
-    # every batched cell agrees with the per-row adaptive route
+    # panels shared by a run of many heights give every cell to within
+    # 1e-13 of the panels that one height seeds for itself
     cfg = InterfaceConfig(n1=n1, lambda0_nm=852.0)
     dipoles = [DipolePolarization.from_preset(p) for p in DIPOLE_PRESETS]
     dipoles.append(random_dipole(np.random.default_rng(7)))

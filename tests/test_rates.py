@@ -183,17 +183,28 @@ def test_report_is_self_consistent(cfg, rng):
                                           rel=1e-14)
     assert r.delta_rad == pytest.approx(r.delta_rad_mat + r.delta_rad_vac,
                                         rel=1e-12)
+    assert len(RateReport.COLUMNS) == 23
+    for name in RateReport.COLUMNS:
+        assert hasattr(r, name)
+
+
+def test_side_rates_compose(cfg, rng):
+    dip = random_dipole(rng)
+    r = rate_report(cfg, dip, 140.0)
+    assert rel_err(r.gamma_evan_plus + r.gamma_evan_minus, r.gamma_evan) < 1e-12
+    assert rel_err(r.gamma_rad_plus + r.gamma_rad_minus, r.gamma_rad) < 1e-12
     assert rel_err(r.gamma_plus + r.gamma_minus, r.gamma_total) < 1e-10
     for side, delta in ((r.gamma_evan_plus - r.gamma_evan_minus, r.delta_evan),
                         (r.gamma_rad_plus - r.gamma_rad_minus, r.delta_rad)):
         assert rel_err(side, delta) < 1e-9 or abs(delta) < 1e-15
+
+
+def test_asymmetry_ratios(cfg):
+    r = rate_report(cfg, DipolePolarization.from_preset("eps-xz"), 90.0)
     for zeta, delta, gamma in ((r.zeta_evan, r.delta_evan, r.gamma_evan),
                                (r.zeta_rad, r.delta_rad, r.gamma_rad),
                                (r.zeta_total, r.delta_total, r.gamma_total)):
         assert zeta == pytest.approx(delta / gamma, rel=1e-12)
-    assert len(RateReport.COLUMNS) == 23
-    for name in RateReport.COLUMNS:
-        assert hasattr(r, name)
 
 
 def test_zeta_undefined_below_floor(cfg, monkeypatch):

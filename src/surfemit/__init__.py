@@ -4,8 +4,10 @@ Rates, mode densities, directional asymmetries and far-field patterns
 for a two-level emitter in vacuum above a planar dielectric half-space,
 split over evanescent and radiation interface modes.  All rates are in
 units of the free-space emission rate.  Angular densities live in
-surfemit.density, mode geometry in surfemit.optics and the tensor
-algebra in surfemit.vectens.
+surfemit.density and the Fresnel layer in surfemit.optics.  The check
+suite behind `surfemit validate`, with the routes only it uses (mode
+geometry, spin density and the tensor algebra), is surfemit.validation,
+which the package does not import.
 """
 
 from .density import DIPOLE_PRESETS, DipolePolarization

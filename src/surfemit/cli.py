@@ -18,14 +18,13 @@ import sys
 import warnings
 from pathlib import Path
 
-from .density import DIPOLE_PRESETS, DipolePolarization
+from .density import DIPOLE_PRESETS, DipolePolarization, vector_norm
 from .optics import InterfaceConfig
 from .quadrature import QuadratureSpec
 from .sweep import (SweepRequest, _grid_blocks, _grid_layout, _render_rows,
                     scan_pattern, sweep_asymmetry, sweep_rates)
 # grid_density is unused here: bench/ traces it as cli's own
 from .sweep import grid_density  # noqa: F401
-from .vectens import vector_norm
 
 
 class CliError(Exception):

@@ -13,6 +13,9 @@ as |e^{-i a} + r e^{i a}|^2 = 1 + r^2 + 2 r cos(2a).  The resulting
 expressions are algebraically identical to the textbook forms, regular
 at xi = 0 (where they reproduce the kappa -> 1 boundary value exactly)
 and manifestly nonnegative.  All functions broadcast over xi and phi.
+
+The check-only routes to these densities, the kappa -> 1 limit and the
+spin-orbit routes to delta_f, live with the checks in surfemit.validation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import vectens
 from .optics import (InterfaceConfig, _bounded, _reflection, _transmission,
                      check_height, transmittance)
 
@@ -41,6 +43,36 @@ DIPOLE_PRESETS = {
 }
 
 
+def as_cvector(v) -> np.ndarray:
+    """Coerce input to a (3,) complex array, rejecting other shapes."""
+    a = np.asarray(v, dtype=complex)
+    if a.shape != (3,):
+        raise ValueError(f"expected a 3-component vector, got shape {a.shape}")
+    return a
+
+
+def vector_norm(v) -> float:
+    """Euclidean norm; rescaled by the largest real or imaginary part
+    only when the plain sum of squares overflows or underflows."""
+    a = as_cvector(v)
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    parts = np.abs([a.real, a.imag])
+    big = float(np.max(parts))
+    if not 0.0 < norm < math.inf and 0.0 < big < math.inf:
+        norm = big * float(np.sqrt(np.sum((parts / big) ** 2)))
+    return norm
+
+
+def ellipticity_vector(a) -> np.ndarray:
+    """The real vector i [A* x A], characterizing the ellipticity of A.
+
+    Vanishes iff A is a real vector times a phase (linear polarization).
+    """
+    a = as_cvector(a)
+    return (1j * np.cross(a.conj(), a)).real
+
+
 @dataclass(frozen=True, eq=False)
 class DipolePolarization:
     """Unit complex polarization vector of the emitting dipole.
@@ -53,8 +85,8 @@ class DipolePolarization:
     u: np.ndarray
 
     def __post_init__(self):
-        v = vectens.as_cvector(self.u)
-        norm = vectens.vector_norm(v)
+        v = as_cvector(self.u)
+        norm = vector_norm(v)
         if not 0.0 < norm < math.inf:
             raise ValueError("dipole polarization must be nonzero and finite")
         if abs(norm - 1.0) > 1e-9:
@@ -82,7 +114,7 @@ class DipolePolarization:
     @property
     def ellipticity(self) -> np.ndarray:
         """The real vector i [u* x u]."""
-        return vectens.ellipticity_vector(self.u)
+        return ellipticity_vector(self.u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,20 +177,6 @@ def f_evan(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi, x_nm: float):
     f_s = _C4 * ts_over_xi * damp * _s_coupling(u, phi)
     f_p = _C4 * tp_over_xi * damp * p_coupling
     return f_s, f_p, f_s + f_p
-
-
-def f_evan_limit_kappa1(cfg: InterfaceConfig, dip: DipolePolarization, phi):
-    """Boundary value of f_evan as kappa -> 1 (xi -> 0 on the branch),
-    which f_rad takes as well, so both branches join continuously.
-
-    (3/(2 pi sqrt(n1^2-1))) [n1^2 |u_x|^2 + |u_y|^2 sin^2(phi)
-    + |u_z|^2 cos^2(phi) - Re(u_y* u_z) sin(2 phi)], independent of x.
-    """
-    phi = np.asarray(phi, dtype=float)
-    u = dip.u
-    n1sq = cfg.n1 ** 2
-    pref = 3.0 / (2.0 * np.pi * np.sqrt(n1sq - 1.0))
-    return pref * (n1sq * np.abs(u[0]) ** 2 + _s_coupling(u, phi))
 
 
 def f_rad(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
@@ -280,54 +298,6 @@ def zeta_f(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
     tot_arr = np.asarray(tot, dtype=float)
     safe = np.where(tot_arr != 0.0, tot_arr, 1.0)
     return np.where(tot_arr != 0.0, np.asarray(num) / safe, np.nan)
-
-
-def delta_f_equivalences(cfg: InterfaceConfig, dip: DipolePolarization,
-                         xi: float, phi: float, x_nm: float, branch: str):
-    """Three independent routes to the same central-inversion difference.
-
-    Returns (closed, cross, spin):
-
-    * closed: the trigonometric closed form (delta_f),
-    * cross: prefactor times [u* x u] . [U* x U] with U the p-mode field
-      profile at the emitter,
-    * spin: prefactor times i[u* x u] . S with S the normalized local
-      electric spin density of the mode.
-
-    branch is 'evanescent' or 'radiation'.  The three agree to numerical
-    precision at interior points of either branch.
-    """
-    from .optics import ModePoint, mode_field_p, spin_density
-
-    u = dip.u
-    ell = vectens.ellipticity_vector(u)  # i [u* x u]
-    ucross = np.cross(np.conj(u), u)     # [u* x u] itself (imaginary)
-    if branch == "evanescent":
-        closed = float(delta_f(cfg, dip, xi, phi, x_nm, "evan"))
-        point = ModePoint("evanescent", xi, phi, "p", 1)
-        eta = float(_transmission(cfg, xi)[0])
-        if eta == 0.0:
-            return closed, 0.0, 0.0
-        field = mode_field_p(cfg, point, x_nm)
-        cross = float(np.real(
-            (3.0 / (8.0 * np.pi * eta)) * np.sum(
-                ucross * np.cross(np.conj(field), field))))
-        spin = float((3.0 / (2.0 * np.pi * eta)) * np.dot(
-            ell, spin_density(cfg, point, x_nm)))
-        return closed, cross, spin
-    if branch == "radiation":
-        closed = float(delta_f(cfg, dip, xi, phi, x_nm, "rad"))
-        if xi <= 0.0:
-            return closed, 0.0, 0.0
-        point = ModePoint("radiation", xi, phi, "p", 2)
-        field = mode_field_p(cfg, point, x_nm)
-        cross = float(np.real(
-            (3.0 / (8.0 * np.pi * xi)) * np.sum(
-                ucross * np.cross(np.conj(field), field))))
-        spin = float((3.0 / (2.0 * np.pi * xi)) * np.dot(
-            ell, spin_density(cfg, point, x_nm)))
-        return closed, cross, spin
-    raise ValueError(f"unknown branch {branch!r}")
 
 
 def critical_theta(cfg: InterfaceConfig) -> float:

@@ -224,24 +224,26 @@ def _static_moments(cfg: InterfaceConfig, quad: QuadratureSpec):
 
 def rate_columns(cfg: InterfaceConfig, dip: DipolePolarization, xs,
                  quad: QuadratureSpec = QuadratureSpec()):
-    """RateReport columns at every height of xs (ascending) by shared panels.
+    """RateReport columns at every height of xs by shared panels.
 
-    Heights are split into runs (quadrature.height_chunks).  For each
-    run and branch the x-independent kernels are evaluated once per
-    node of one adaptive panel set, seeded for the run's largest
-    height; each height enters only through its row of e^{-2 k0 x xi},
-    cos or sin factors.
+    The heights are sorted and split into runs
+    (quadrature.height_chunks).  For each run and branch the
+    x-independent kernels are evaluated once per node of one adaptive
+    panel set, seeded for the run's largest height; each height enters
+    only through its row of e^{-2 k0 x xi}, cos or sin factors.
 
     Returns (columns, integrals, errors, passed).  columns has one row
     per height and the columns of RateReport.COLUMNS, NaN where an
     asymmetry factor is undefined.  The other three have one row per
     height and one column per integral of _INTEGRALS: its value, its
     summed panel error, and whether that error met the target
-    max(atol, rtol |I|) within the subdivision budget.
+    max(atol, rtol |I|) within the subdivision budget.  Rows come in
+    the order of xs.
     """
     check_height(xs)
     ux2 = _ux2(dip)
-    two_k0x = 2.0 * cfg.k0_nm * np.asarray(xs, dtype=float)
+    order = np.argsort(xs, kind="stable")
+    two_k0x = 2.0 * cfg.k0_nm * np.asarray(xs, dtype=float)[order]
     shape = (len(_INTEGRALS), two_k0x.size)
     integrals, errors = np.empty(shape), np.empty(shape)
     passed = np.empty(shape, dtype=bool)
@@ -257,6 +259,8 @@ def rate_columns(cfg: InterfaceConfig, dip: DipolePolarization, xs,
                 len(picks) * run.shape[0], quad)
             for out, part in zip((integrals, errors, passed), found):
                 out[picks, rows] = part.reshape(len(picks), -1)
+    integrals, errors, passed = (out[:, np.argsort(order)]
+                                 for out in (integrals, errors, passed))
     columns = np.broadcast_arrays(*_columns(cfg, dip, quad, *integrals))
     return np.column_stack(columns), integrals.T, errors.T, passed.T
 

@@ -19,9 +19,9 @@ from surfemit import (DipolePolarization, InterfaceConfig, ResultTable,
                       SweepRequest, oracle_integrate, rate_report,
                       sweep_rates)
 from surfemit.cli import run
-from surfemit.density import (delta_f, delta_f_equivalences, f_evan,
-                              f_evan_limit_kappa1, f_rad)
-from surfemit.vectens import decompose_coupling, scalar_product
+from surfemit.density import delta_f, f_evan, f_rad
+from surfemit.validation import (decompose_coupling, delta_f_equivalences,
+                                 f_evan_limit_kappa1, scalar_product)
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,16 @@ def test_validate_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_validate_samples_scale_with_the_index(capsys):
+    # the draws and the branch-point probe follow xi_max and n1, so no
+    # check fails for its own sampling at a small or a large index
+    assert run(["validate", "--n1=100"]) == 0
+    assert "17/17 checks passed" in capsys.readouterr().out
+    run(["validate", "--n1=1.000001"])
+    out = capsys.readouterr().out
+    assert out.count("\n") == 18 and "raised" not in out
+
+
 def test_rates_stdout_csv(capsys):
     rc = run(["rates", "--x-nm", "0,50,100"])
     assert rc == 0

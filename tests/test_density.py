@@ -4,9 +4,9 @@ import pytest
 from helpers import random_dipole, random_real_dipole, rel_err
 from surfemit.density import (CHANNELS, DIPOLE_PRESETS, PATTERN_ZONES,
                               DipolePolarization, channel_density,
-                              critical_theta, delta_f, delta_f_equivalences,
-                              f_evan, f_evan_limit_kappa1, f_rad, pattern,
+                              critical_theta, delta_f, f_evan, f_rad, pattern,
                               zeta_f)
+from surfemit.validation import f_evan_limit_kappa1
 
 
 def textbook_evan(cfg, u, xi, phi, x):
@@ -79,46 +79,6 @@ def test_radiation_matches_textbook_form(cfg, rng):
             assert rel_err(g, r) < 1e-12
 
 
-def test_sum_rules(cfg, rng):
-    for _ in range(15):
-        dip = random_dipole(rng)
-        xi = rng.uniform(0.02, 0.98)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        x = rng.uniform(0.0, 500.0)
-        br = f_rad(cfg, dip, xi, phi, x)
-        assert rel_err(br.f_rad_s1 + br.f_rad_s2, br.f_rad_s) < 1e-12
-        assert rel_err(br.f_rad_p1 + br.f_rad_p2, br.f_rad_p) < 1e-12
-        assert rel_err(br.f_rad_s + br.f_rad_p, br.f_rad) < 1e-12
-        assert rel_err(br.f_rad_mat + br.f_rad_vac, br.f_rad) < 1e-12
-
-
-def test_densities_nonnegative(cfg, rng):
-    for _ in range(15):
-        dip = random_dipole(rng)
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=8)
-        x = rng.uniform(0.0, 400.0)
-        xi_e = rng.uniform(0.0, cfg.xi_max, size=8)
-        for part in f_evan(cfg, dip, xi_e, phi, x):
-            assert np.all(np.asarray(part) >= -1e-15)
-        xi_r = rng.uniform(0.0, 1.0, size=8)
-        br = f_rad(cfg, dip, xi_r, phi, x)
-        for name in ("f_rad_s1", "f_rad_s2", "f_rad_p1", "f_rad_p2",
-                     "f_rad_mat", "f_rad_vac", "f_rad"):
-            assert np.all(np.asarray(getattr(br, name)) >= -1e-15)
-
-
-def test_branch_point_limits_agree(cfg, rng):
-    phi = np.linspace(0.0, 2.0 * np.pi, 17)
-    for _ in range(6):
-        dip = random_dipole(rng)
-        # both branches approach the one kappa = 1 limit
-        lim = f_evan_limit_kappa1(cfg, dip, phi)
-        near = f_evan(cfg, dip, 1e-8, phi, 90.0)[2]
-        assert np.allclose(near, lim, rtol=1e-6)
-        near_r = f_rad(cfg, dip, 1e-8, phi, 90.0).f_rad
-        assert np.allclose(near_r, lim, rtol=1e-6)
-
-
 def test_frozen_limit_value_normal_dipole(cfg):
     dip = DipolePolarization.from_preset("x")
     lim = f_evan_limit_kappa1(cfg, dip, 0.3)
@@ -126,21 +86,6 @@ def test_frozen_limit_value_normal_dipole(cfg):
     # closed form 3 n1^2 / (2 pi sqrt(n1^2 - 1))
     assert lim == pytest.approx(
         3.0 * 1.45 ** 2 / (2.0 * np.pi * np.sqrt(1.45 ** 2 - 1.0)))
-
-
-def test_side_difference_matches_closed_form(cfg, rng):
-    for _ in range(15):
-        dip = random_dipole(rng)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        x = rng.uniform(0.0, 400.0)
-        xi_e = rng.uniform(0.02, cfg.xi_max - 0.02)
-        xi_r = rng.uniform(0.02, 0.98)
-        for channel, xi in (("evan", xi_e), ("rad", xi_r), ("mat", xi_r),
-                            ("vac", xi_r)):
-            closed = delta_f(cfg, dip, xi, phi, x, channel)
-            a = channel_density(cfg, dip, xi, phi, x, channel)
-            b = channel_density(cfg, dip, xi, phi + np.pi, x, channel)
-            assert abs((a - b) - closed) < 1e-11 * max(a, b, 1e-3)
 
 
 def test_channel_density_is_the_family_total_bit_for_bit(cfg, rng):
@@ -194,20 +139,6 @@ def test_output_split_is_time_reverse_of_input_split(cfg, rng):
         bt = f_rad(cfg, dip_c, xi, phi + np.pi, x)
         assert rel_err(b.f_rad_mat, bt.f_rad_s1 + bt.f_rad_p1) < 1e-12
         assert rel_err(b.f_rad_vac, bt.f_rad_s2 + bt.f_rad_p2) < 1e-12
-
-
-def test_three_route_equivalence(cfg, rng):
-    for _ in range(25):
-        dip = random_dipole(rng)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        x = rng.uniform(0.0, 400.0)
-        for branch, xi in (("evanescent", rng.uniform(0.02, cfg.xi_max - 0.02)),
-                           ("radiation", rng.uniform(0.02, 0.98))):
-            closed, cross, spin = delta_f_equivalences(cfg, dip, xi, phi, x,
-                                                       branch)
-            scale = max(abs(closed), abs(cross), abs(spin), 1e-12)
-            assert abs(closed - cross) < 1e-11 * scale
-            assert abs(closed - spin) < 1e-11 * scale
 
 
 def test_zeta_evanescent_height_independent(cfg, rng):
@@ -285,18 +216,6 @@ def test_kernels_reject_nonfinite_xi(cfg, kernel):
     dip = DipolePolarization.from_preset("eps-xz")
     with pytest.raises(ValueError, match="finite"):
         _KERNELS[kernel](cfg, dip, np.array([0.5, np.nan]), 100.0)
-
-
-def test_pattern_nonnegative_everywhere(cfg, rng):
-    dip = random_dipole(rng)
-    thc = critical_theta(cfg)
-    for zone, lo, hi in (("rad_vacuum", 0.0, 0.5 * np.pi),
-                         ("evan_forbidden", 0.5 * np.pi, np.pi - thc),
-                         ("rad_material", np.pi - thc, np.pi)):
-        theta = np.linspace(lo, hi, 200)
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=theta.size)
-        p = pattern(cfg, dip, theta, phi, 60.0, zone)
-        assert np.all(p >= -1e-15)
 
 
 def test_dipole_presets_and_validation():

@@ -1,19 +1,23 @@
-"""No module of the package imports a name that it does not use.
+"""No module of the package imports a name that it does not use, and no
+computation module keeps code that only the check suite calls.
 
 `__init__.py` is skipped: its imports are the public surface.  An
 import marked `# noqa: F401` is kept on purpose (the benchmark tracer
-rebinds such names as attributes of the importing module).
+rebinds such names as attributes of the importing module).  Check-only
+routes belong in `surfemit.validation`, next to the checks.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import surfemit
 
-MODULES = sorted(p for p in Path(surfemit.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(surfemit.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+COMPUTATION = ("optics", "density", "quadrature", "rates", "sweep", "cli")
 
 
 def unused_imports(source: str) -> list:
@@ -47,3 +51,39 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def check_only_names(sources: dict, named: str) -> list:
+    """Public top-level functions and classes of the computation modules
+    in sources (module name -> source text) that no module other than
+    validation uses and that the text named does not mention."""
+    used = set()
+    for module, source in sources.items():
+        if module != "validation":
+            used.update(node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(ast.parse(source))
+                        if isinstance(node, (ast.Name, ast.Attribute)))
+    return [f"{module}.{node.name}"
+            for module in COMPUTATION if module in sources
+            for node in ast.parse(sources[module]).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used
+            and not re.search(rf"\b{node.name}\b", named)]
+
+
+def test_the_check_finds_check_only_code():
+    sources = {"optics": "def kept(): pass\ndef moved(): pass\n"
+                         "class _Private: pass\n",
+               "rates": "kept()\n", "validation": "moved()\n"}
+    assert check_only_names(sources, "") == ["optics.moved"]
+    assert check_only_names(sources, "see `moved`") == []
+
+
+def test_no_check_only_code_in_the_computation_modules():
+    root = PACKAGE.parents[1]
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)",
+                        (root / "pyproject.toml").read_text(), re.M | re.S)
+    named = "\n".join([(root / "README.md").read_text(), scripts.group(1),
+                       *surfemit.__all__])
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert check_only_names(sources, named) == []

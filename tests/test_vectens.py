@@ -1,13 +1,16 @@
+"""Complex 3-vector helpers (density) and the irreducible tensor algebra
+of the check suite (validation)."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfemit.vectens import (RateDecomposition, as_cvector, cartesian_components,
-                              compound_tensor, decompose_coupling,
-                              ellipticity_vector, scalar_product,
-                              spherical_components, tensor_scalar_product,
-                              vector_norm)
+from surfemit.density import as_cvector, ellipticity_vector, vector_norm
+from surfemit.validation import (RateDecomposition, cartesian_components,
+                                 compound_tensor, decompose_coupling,
+                                 scalar_product, spherical_components,
+                                 tensor_scalar_product)
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 

@@ -79,6 +79,34 @@ def test_radiation_matches_textbook_form(cfg, rng):
             assert rel_err(g, r) < 1e-12
 
 
+def test_sum_rules(cfg, rng):
+    for _ in range(15):
+        dip = random_dipole(rng)
+        xi = rng.uniform(0.02, 0.98)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        x = rng.uniform(0.0, 500.0)
+        br = f_rad(cfg, dip, xi, phi, x)
+        assert rel_err(br.f_rad_s1 + br.f_rad_s2, br.f_rad_s) < 1e-12
+        assert rel_err(br.f_rad_p1 + br.f_rad_p2, br.f_rad_p) < 1e-12
+        assert rel_err(br.f_rad_s + br.f_rad_p, br.f_rad) < 1e-12
+        assert rel_err(br.f_rad_mat + br.f_rad_vac, br.f_rad) < 1e-12
+
+
+def test_densities_nonnegative(cfg, rng):
+    for _ in range(15):
+        dip = random_dipole(rng)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=8)
+        x = rng.uniform(0.0, 400.0)
+        xi_e = rng.uniform(0.0, cfg.xi_max, size=8)
+        for part in f_evan(cfg, dip, xi_e, phi, x):
+            assert np.all(np.asarray(part) >= -1e-15)
+        xi_r = rng.uniform(0.0, 1.0, size=8)
+        br = f_rad(cfg, dip, xi_r, phi, x)
+        for name in ("f_rad_s1", "f_rad_s2", "f_rad_p1", "f_rad_p2",
+                     "f_rad_mat", "f_rad_vac", "f_rad"):
+            assert np.all(np.asarray(getattr(br, name)) >= -1e-15)
+
+
 def test_frozen_limit_value_normal_dipole(cfg):
     dip = DipolePolarization.from_preset("x")
     lim = f_evan_limit_kappa1(cfg, dip, 0.3)

@@ -3,8 +3,8 @@ import pytest
 
 from surfemit.density import ellipticity_vector
 from surfemit.optics import InterfaceConfig, fresnel, transmittance
-from surfemit.validation import (ModePoint, interference_norm, khat,
-                                 khat_cross_xhat, mode_ellipticity,
+from surfemit.validation import (ModePoint, brewster_xi, interference_norm,
+                                 khat, khat_cross_xhat, mode_ellipticity,
                                  mode_field_p, mode_polarization_p,
                                  mode_polarization_s, spin_density)
 
@@ -37,11 +37,25 @@ def test_config_derived_quantities(cfg):
     assert cfg.xi_max == pytest.approx(np.sqrt(1.45 ** 2 - 1.0))
 
 
+def test_fresnel_grazing_limit(cfg):
+    r_s, r_p = fresnel(cfg, 0.0)
+    assert r_s == pytest.approx(-1.0, abs=1e-15)
+    assert r_p == pytest.approx(-1.0, abs=1e-15)
+
+
 def test_fresnel_normal_incidence(cfg):
     r_s, r_p = fresnel(cfg, 1.0)
     assert r_s == pytest.approx((1.0 - 1.45) / (1.0 + 1.45), abs=1e-15)
     assert r_p == pytest.approx(-r_s, abs=1e-15)
     assert r_s == pytest.approx(-0.18367346938775508)
+
+
+def test_brewster_zero(cfg):
+    xi_b = brewster_xi(cfg)
+    assert xi_b == pytest.approx(1.0 / np.sqrt(1.45 ** 2 + 1.0))
+    assert xi_b == pytest.approx(0.5677332929021646)
+    _, r_p = fresnel(cfg, xi_b)
+    assert abs(r_p) < 1e-14
 
 
 def test_fresnel_s_nonpositive_and_p_single_sign_change(cfg):

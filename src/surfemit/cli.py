@@ -265,6 +265,8 @@ def _dispatch(args) -> int:
         # the check suite is imported only when asked for
         from .validation import DEFAULT_SEED, format_report, run_checks
         seed = _number(args, file_cfg, "seed", DEFAULT_SEED, int)
+        if seed < 0:
+            raise CliError(f"--seed: must be nonnegative, got {seed}")
         results = run_checks(cfg, quad, seed=seed)
         sys.stdout.write(format_report(results))
         return 0 if all(r.passed for r in results) else 2

@@ -179,6 +179,11 @@ def f_evan(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi, x_nm: float):
     return f_s, f_p, f_s + f_p
 
 
+def _p_ratio(n1sq, xi, eta):
+    """(1 - r_p^2)/xi = 4 n1^2 eta/(n1^2 xi + eta)^2, regular at xi = 0."""
+    return 4.0 * n1sq * eta / (n1sq * xi + eta) ** 2
+
+
 def f_rad(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
           x_nm: float) -> DensityBreakdown:
     """Radiation-channel angular densities at one mode point.
@@ -196,7 +201,7 @@ def f_rad(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
     eta, r_s, r_p = _reflection(cfg, xi)
     # exact regular ratios: (1 - r^2)/xi for each polarization
     cs1 = 4.0 * eta / (xi + eta) ** 2
-    cp1 = 4.0 * n1sq * eta / (n1sq * xi + eta) ** 2
+    cp1 = _p_ratio(n1sq, xi, eta)
 
     kappa = np.sqrt(np.maximum(1.0 - xi ** 2, 0.0))
     w = _inplane_coupling(u, phi)
@@ -265,22 +270,20 @@ def delta_f(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,
         damp = np.exp(-2.0 * cfg.k0_nm * x_nm * xi)
         return (3.0 / np.pi) * np.sqrt(1.0 + xi ** 2) * t_p * damp * np.imag(
             np.conj(u[0]) * w)
+    if channel not in _RAD_FIELDS:
+        raise ValueError(f"unknown channel {channel!r}")
     xi = _bounded(xi, 1.0, "delta_f")
-    n1sq = cfg.n1 ** 2
     eta, _, r_p = _reflection(cfg, xi)
     kappa = np.sqrt(np.maximum(1.0 - xi ** 2, 0.0))
+    # the Im(u_x* w) term of the p2 interference, all of the total's delta_f
+    rad = (3.0 / np.pi) * kappa * r_p * np.sin(
+        2.0 * xi * cfg.k0_nm * x_nm) * np.imag(np.conj(u[0]) * w)
     if channel == "rad":
-        return (3.0 / np.pi) * kappa * r_p * np.sin(
-            2.0 * xi * cfg.k0_nm * x_nm) * np.imag(np.conj(u[0]) * w)
-    one_minus_rp2 = 4.0 * n1sq * xi * eta / (n1sq * xi + eta) ** 2
-    mat = (3.0 / (2.0 * np.pi)) * kappa * one_minus_rp2 * np.real(
-        np.conj(u[0]) * w)
-    if channel == "mat":
-        return mat
-    if channel == "vac":
-        return -mat + (3.0 / np.pi) * kappa * r_p * np.sin(
-            2.0 * xi * cfg.k0_nm * x_nm) * np.imag(np.conj(u[0]) * w)
-    raise ValueError(f"unknown channel {channel!r}")
+        return rad
+    # the Re(u_x* w) term of the p1 wave, which leaves through the material
+    mat = (3.0 / (2.0 * np.pi)) * kappa * xi * _p_ratio(
+        cfg.n1 ** 2, xi, eta) * np.real(np.conj(u[0]) * w)
+    return mat if channel == "mat" else rad - mat
 
 
 def zeta_f(cfg: InterfaceConfig, dip: DipolePolarization, xi, phi,

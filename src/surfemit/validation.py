@@ -5,9 +5,8 @@ patterns use.  What exists only to check them lives here: mode geometry
 (ModePoint, unit polarizations, ellipticity, spin density and field
 profile of one mode), the kappa -> 1 limit of the densities, the three
 routes to delta_f (among them the paper's spin-orbit overlap of dipole
-and mode ellipticity), and the scalar/vector/tensor decomposition of a
-coupling: spherical components ordered q = -1, 0, +1, compound tensors
-{A* (x) A}_Kq ordered q = -K .. +K, scalar product sum_q (-1)^q T_q S_{-q}.
+and mode ellipticity), and the scalar/vector/tensor split of a coupling,
+which the checks apply to the package's own p modes.
 
 CHECKS is the ordered list of checks.  Each draws from its own generator,
 seeded by the suite seed and its name, so `surfemit validate` and the
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,11 +32,6 @@ from .quadrature import QuadratureSpec
 from .rates import oracle_integrate, rate_report
 
 DEFAULT_SEED = 20260817
-
-_SQRT2 = np.sqrt(2.0)
-_SQRT3 = np.sqrt(3.0)
-_SQRT6 = np.sqrt(6.0)
-
 
 @dataclass(frozen=True)
 class ModePoint:
@@ -240,123 +235,6 @@ def f_evan_limit_kappa1(cfg: InterfaceConfig, dip: DipolePolarization, phi):
     return pref * (n1sq * np.abs(u[0]) ** 2 + _s_coupling(u, phi))
 
 
-def delta_f_equivalences(cfg: InterfaceConfig, dip: DipolePolarization,
-                         xi: float, phi: float, x_nm: float, branch: str):
-    """Three independent routes to the same central-inversion difference.
-
-    Returns (closed, cross, spin):
-
-    * closed: the trigonometric closed form (delta_f),
-    * cross: prefactor times [u* x u] . [U* x U] with U the p-mode field
-      profile at the emitter,
-    * spin: prefactor times i[u* x u] . S with S the normalized local
-      electric spin density of the mode.
-
-    branch is 'evanescent' or 'radiation'.  The three agree to numerical
-    precision at interior points of either branch.
-    """
-    if branch not in ("evanescent", "radiation"):
-        raise ValueError(f"unknown branch {branch!r}")
-    evan = branch == "evanescent"
-    closed = float(delta_f(cfg, dip, xi, phi, x_nm, "evan" if evan else "rad"))
-    # the mode's normalization: eta on the evanescent branch, xi on the
-    # radiation branch
-    norm = float(_transmission(cfg, xi)[0]) if evan else xi
-    if norm <= 0.0:
-        return closed, 0.0, 0.0
-    point = ModePoint(branch, xi, phi, "p", 1 if evan else 2)
-    field = mode_field_p(cfg, point, x_nm)
-    ucross = np.cross(np.conj(dip.u), dip.u)  # [u* x u], imaginary
-    cross = float(np.real((3.0 / (8.0 * np.pi * norm)) * np.sum(
-        ucross * np.cross(np.conj(field), field))))
-    spin = float((3.0 / (2.0 * np.pi * norm)) * np.dot(
-        ellipticity_vector(dip.u), spin_density(cfg, point, x_nm)))
-    return closed, cross, spin
-
-
-def spherical_components(v) -> np.ndarray:
-    """Spherical components (A_-1, A_0, A_+1) of a Cartesian vector.
-
-    A_-1 = (A_x - i A_y)/sqrt(2), A_0 = A_z, A_+1 = -(A_x + i A_y)/sqrt(2).
-    """
-    a = as_cvector(v)
-    return np.array([
-        (a[0] - 1j * a[1]) / _SQRT2,
-        a[2],
-        -(a[0] + 1j * a[1]) / _SQRT2,
-    ])
-
-
-def cartesian_components(sph) -> np.ndarray:
-    """Inverse of :func:`spherical_components`."""
-    s = np.asarray(sph, dtype=complex)
-    if s.shape != (3,):
-        raise ValueError(f"expected 3 spherical components, got shape {s.shape}")
-    am, a0, ap = s
-    return np.array([
-        (am - ap) / _SQRT2,
-        1j * (am + ap) / _SQRT2,
-        a0,
-    ])
-
-
-def scalar_product(a, b) -> complex:
-    """Cartesian dot product sum_i A_i B_i (no conjugation).
-
-    Equals the spherical-basis contraction sum_q (-1)^q A_q B_{-q}.
-    """
-    a = as_cvector(a)
-    b = as_cvector(b)
-    return complex(np.sum(a * b))
-
-
-def compound_tensor(a, rank: int) -> np.ndarray:
-    """Components of {A* (x) A}_Kq for K = rank, ordered q = -K .. +K.
-
-    Parameters
-    ----------
-    a : array_like
-        Complex Cartesian 3-vector.
-    rank : int
-        0, 1, or 2.  Any other value raises ValueError.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape (2*rank + 1,) complex array.
-    """
-    if rank not in (0, 1, 2):
-        raise ValueError(f"rank must be 0, 1 or 2, got {rank!r}")
-    am, a0, ap = spherical_components(a)
-    n_m, n_0, n_p = abs(am) ** 2, abs(a0) ** 2, abs(ap) ** 2
-    if rank == 0:
-        return np.array([-(n_0 + n_p + n_m) / _SQRT3])
-    if rank == 1:
-        return np.array([
-            (a0 * np.conj(ap) + np.conj(a0) * am) / _SQRT2,
-            (n_p - n_m) / _SQRT2,
-            -(a0 * np.conj(am) + np.conj(a0) * ap) / _SQRT2,
-        ])
-    return np.array([
-        -am * np.conj(ap),
-        -(a0 * np.conj(ap) - np.conj(a0) * am) / _SQRT2,
-        (2.0 * n_0 - n_p - n_m) / _SQRT6,
-        -(a0 * np.conj(am) - np.conj(a0) * ap) / _SQRT2,
-        -ap * np.conj(am),
-    ])
-
-
-def tensor_scalar_product(t, s) -> complex:
-    """Contraction sum_q (-1)^q T_q S_{-q} of two equal-rank tensors."""
-    t = np.asarray(t, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    if t.shape != s.shape or t.ndim != 1 or t.shape[0] % 2 == 0:
-        raise ValueError("tensors must share an odd 1-d shape (2K+1,)")
-    k = (t.shape[0] - 1) // 2
-    q = np.arange(-k, k + 1)
-    return complex(np.sum((-1.0) ** q * t * s[::-1]))
-
-
 @dataclass(frozen=True)
 class RateDecomposition:
     """Scalar, vector and rank-2 tensor parts of a coupling rate.
@@ -376,33 +254,63 @@ class RateDecomposition:
 def decompose_coupling(d, e, n: float) -> RateDecomposition:
     """Split N |d . e|^2 into irreducible scalar/vector/tensor parts.
 
-    Parameters
-    ----------
-    d, e : array_like
-        Complex 3-vectors (dipole and field polarizations).
-    n : float
-        Nonnegative overall factor (mode count / density prefactor).
-
-    Returns
-    -------
-    RateDecomposition
-        (N/3)|d|^2|e|^2, (N/2)[d* x d].[e* x e], and the rank-2
-        contraction N {d* (x) d}_2 . {e* (x) e}_2.
+    d and e are complex 3-vectors (dipole and field polarizations), n a
+    nonnegative weight (mode count / density prefactor).  With
+    A = d (x) d* and B = e (x) e*, |d . e|^2 = sum_ij A_ij B_ij splits into
+    (N/3) tr A tr B, (N/2) Re([d* x d] . [e* x e]) and
+    N sum_ij S(A)_ij S(B)_ij, with S the symmetric traceless part.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     d = as_cvector(d)
     e = as_cvector(e)
-    nd2 = float(np.sum(np.abs(d) ** 2))
-    ne2 = float(np.sum(np.abs(e) ** 2))
-    scalar = n / 3.0 * nd2 * ne2
+    # A and B are Hermitian, so their symmetric parts are Re A and Re B
+    a, b = np.outer(d, d.conj()).real, np.outer(e, e.conj()).real
+    tr_a, tr_b = float(np.trace(a)), float(np.trace(b))
     vector = n / 2.0 * float(
-        np.real(np.sum(np.cross(d.conj(), d) * np.cross(e.conj(), e)))
-    )
-    tensor = n * float(
-        np.real(tensor_scalar_product(compound_tensor(d, 2), compound_tensor(e, 2)))
-    )
-    return RateDecomposition(scalar, vector, tensor)
+        np.real(np.sum(np.cross(d.conj(), d) * np.cross(e.conj(), e))))
+    tensor = n * float(np.sum((a - tr_a / 3.0 * np.eye(3))
+                              * (b - tr_b / 3.0 * np.eye(3))))
+    return RateDecomposition(n / 3.0 * tr_a * tr_b, vector, tensor)
+
+
+def _p_mode(cfg: InterfaceConfig, xi: float, phi: float, evan: bool):
+    """The p mode at (xi, phi), j = 2 on the radiation branch, and its
+    norm, eta or xi: 3/(8 pi norm) |u . U|^2, U the mode's field profile,
+    is f_evan's p density or f_rad_p2."""
+    norm = float(_transmission(cfg, xi)[0]) if evan else xi
+    return ModePoint("evanescent" if evan else "radiation", xi, phi, "p",
+                     1 if evan else 2), norm
+
+
+def delta_f_equivalences(cfg: InterfaceConfig, dip: DipolePolarization,
+                         xi: float, phi: float, x_nm: float, branch: str):
+    """Three independent routes to the same central-inversion difference.
+
+    Returns (closed, cross, spin):
+
+    * closed: the trigonometric closed form (delta_f),
+    * cross: twice the vector part of decompose_coupling, prefactor times
+      [u* x u] . [U* x U] with U the p-mode field profile at the emitter,
+    * spin: prefactor times i[u* x u] . S with S the normalized local
+      electric spin density of the mode.
+
+    branch is 'evanescent' or 'radiation'.  The three agree to numerical
+    precision at interior points of either branch.
+    """
+    if branch not in ("evanescent", "radiation"):
+        raise ValueError(f"unknown branch {branch!r}")
+    evan = branch == "evanescent"
+    closed = float(delta_f(cfg, dip, xi, phi, x_nm, "evan" if evan else "rad"))
+    point, norm = _p_mode(cfg, xi, phi, evan)
+    if norm <= 0.0:
+        return closed, 0.0, 0.0
+    field = mode_field_p(cfg, point, x_nm)
+    cross = 2.0 * decompose_coupling(
+        dip.u, field, 3.0 / (8.0 * np.pi * norm)).vector_part
+    spin = float((3.0 / (2.0 * np.pi * norm)) * np.dot(
+        ellipticity_vector(dip.u), spin_density(cfg, point, x_nm)))
+    return closed, cross, spin
 
 
 @dataclass(frozen=True)
@@ -412,12 +320,10 @@ class CheckResult:
     detail: str
 
 
-def _random_cvec(rng, n=3):
-    return rng.normal(size=n) + 1j * rng.normal(size=n)
-
-
-def _random_dipole(rng) -> DipolePolarization:
-    u = _random_cvec(rng)
+def _random_dipole(rng, real: bool = False) -> DipolePolarization:
+    """A random unit dipole: elliptic, or linear if real."""
+    u = rng.normal(size=3) if real else (rng.normal(size=3)
+                                         + 1j * rng.normal(size=3))
     return DipolePolarization(u / np.linalg.norm(u))
 
 
@@ -433,26 +339,33 @@ def _rel(a, b) -> float:
     return float(np.max(np.abs(np.subtract(a, b)) / scale))
 
 
-def _check_tensor_decomposition(cfg, rng, quad):
+def _check_mode_coupling(cfg, rng, quad, real=False):
+    # decompose_coupling with the package's p modes: the parts sum to the
+    # mode's density (f_evan's p part or f_rad_p2) and twice the vector
+    # part is delta_f, exactly 0 for a real dipole.  Residuals scale by the
+    # parts' size N |u|^2 |U|^2, which the density can be far below,
+    # floored at 1e-300 where e^{-xi k0 x} underflows at a large index
     worst = 0.0
-    for _ in range(200):
-        d = _random_cvec(rng)
-        e = _random_cvec(rng)
-        dec = decompose_coupling(d, e, 1.0)
-        direct = abs(np.sum(d * e)) ** 2
-        scale = float(np.sum(np.abs(d) ** 2) * np.sum(np.abs(e) ** 2))
-        worst = max(worst, abs(dec.total - direct) / scale)
-    return worst < 1e-12, f"max scaled error {worst:.3e}"
-
-
-def _check_tensor_real_pairs(cfg, rng, quad):
-    worst = 0.0
-    for _ in range(50):
-        d = rng.normal(size=3)
-        e = rng.normal(size=3)
-        dec = decompose_coupling(d, e, 1.0)
-        worst = max(worst, abs(dec.vector_part))
-    return worst < 1e-14, f"max |vector part| {worst:.3e}"
+    for _ in range(25):
+        dip = _random_dipole(rng, real)
+        x = rng.uniform(0.0, 600.0)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        for evan in (True, False):
+            xi = _branch_xi(rng, cfg.xi_max if evan else 1.0)
+            point, norm = _p_mode(cfg, xi, phi, evan)
+            dec = decompose_coupling(dip.u, mode_field_p(cfg, point, x),
+                                     3.0 / (8.0 * np.pi * norm))
+            density = float(f_evan(cfg, dip, xi, phi, x)[1] if evan
+                            else f_rad(cfg, dip, xi, phi, x).f_rad_p2)
+            odd = float(delta_f(cfg, dip, xi, phi, x,
+                                "evan" if evan else "rad"))
+            if real and (dec.vector_part != 0.0 or odd != 0.0):
+                return False, (f"linear dipole: vector part "
+                               f"{dec.vector_part:.3e}, delta_f {odd:.3e}")
+            scale = max(3.0 * dec.scalar_part, 1e-300)
+            worst = max(worst, abs(dec.total - density) / scale,
+                        abs(2.0 * dec.vector_part - odd) / scale)
+    return worst < 1e-11, f"max scaled residual {worst:.3e}"
 
 
 def _check_fresnel_limits(cfg, rng, quad):
@@ -584,17 +497,14 @@ def _check_rate_composition(cfg, rng, quad):
         dip = _random_dipole(rng)
         x = rng.uniform(0.0, 800.0)
         r = rate_report(cfg, dip, x, quad)
-        worst = max(worst, _rel(r.gamma_evan + r.gamma_rad, r.gamma_total))
-        worst = max(worst, _rel(r.gamma_evan_plus + r.gamma_evan_minus,
-                                r.gamma_evan))
-        worst = max(worst, _rel(r.gamma_rad_plus + r.gamma_rad_minus,
-                                r.gamma_rad))
-        worst = max(worst, _rel(r.gamma_plus + r.gamma_minus, r.gamma_total))
-        worst = max(worst, _rel(r.gamma_rad_mat + r.gamma_rad_vac,
-                                r.gamma_rad))
-        worst = max(worst, _rel(r.delta_rad_mat + r.delta_rad_vac,
-                                r.delta_rad))
-        worst = max(worst, _rel(r.delta_evan + r.delta_rad, r.delta_total))
+        worst = max(worst, *(_rel(parts, whole) for parts, whole in (
+            (r.gamma_evan + r.gamma_rad, r.gamma_total),
+            (r.gamma_evan_plus + r.gamma_evan_minus, r.gamma_evan),
+            (r.gamma_rad_plus + r.gamma_rad_minus, r.gamma_rad),
+            (r.gamma_plus + r.gamma_minus, r.gamma_total),
+            (r.gamma_rad_mat + r.gamma_rad_vac, r.gamma_rad),
+            (r.delta_rad_mat + r.delta_rad_vac, r.delta_rad),
+            (r.delta_evan + r.delta_rad, r.delta_total))))
         if r.gamma_total < 0.0 or r.gamma_evan < 0.0:
             return False, "negative rate"
     return worst < 1e-9, f"max relative residual {worst:.3e}"
@@ -672,8 +582,9 @@ def _check_large_distance_unity(cfg, rng, quad):
 
 
 CHECKS = (
-    ("tensor_decomposition", _check_tensor_decomposition),
-    ("tensor_real_pairs", _check_tensor_real_pairs),
+    # the package's mode couplings, for an elliptic and a linear dipole
+    ("tensor_decomposition", _check_mode_coupling),
+    ("tensor_real_pairs", partial(_check_mode_coupling, real=True)),
     ("fresnel_limits", _check_fresnel_limits),
     ("transmittance_range", _check_transmittance_range),
     ("mode_polarizations_unit", _check_mode_polarizations_unit),

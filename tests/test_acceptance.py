@@ -21,7 +21,7 @@ from surfemit import (DipolePolarization, InterfaceConfig, ResultTable,
 from surfemit.cli import run
 from surfemit.density import delta_f, f_evan, f_rad
 from surfemit.validation import (decompose_coupling, delta_f_equivalences,
-                                 f_evan_limit_kappa1, scalar_product)
+                                 f_evan_limit_kappa1)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,27 @@ def test_criterion_06_directionality(eps_reports):
     assert np.all(np.diff(zeta_evan) < 0.0)
 
 
+@pytest.mark.parametrize("n1", [1.001, 1.2, 1.45, 2.5, 100.0])
+def test_criterion_06_distance_laws_across_indices(n1):
+    # the evanescent difference per unit Im(u_x* u_z) falls with height
+    # and the radiation difference starts at zero; from n1 = 1.45 on it
+    # oscillates through both signs within 3 um, while at n1 = 1.001 it
+    # stays negative there
+    rng = np.random.default_rng(6)
+    dips = [DipolePolarization.from_preset("eps-xz"), random_dipole(rng)]
+    xs = tuple(5.0 * np.arange(601))
+    for dip in dips:
+        t = sweep_rates(SweepRequest(config=InterfaceConfig(n1, 852.0),
+                                     dipole=dip, x_nm=xs))
+        assert np.all(t.column("status") == 0.0)
+        spin = np.imag(np.conj(dip.u[0]) * dip.u[2])
+        assert np.all(np.diff(t.column("delta_evan") / spin) < 0.0)
+        delta_rad = t.column("delta_rad")
+        assert delta_rad[0] == 0.0
+        if n1 >= 1.45:
+            assert delta_rad.max() > 0.0 > delta_rad.min()
+
+
 def close_enough(a: float, b: float, rtol: float) -> bool:
     return rel_err(a, b) < rtol or max(abs(a), abs(b)) < 1e-10
 
@@ -175,7 +196,7 @@ def test_criterion_09_tensor_identity():
         d = rng.normal(size=3) + 1j * rng.normal(size=3)
         e = rng.normal(size=3) + 1j * rng.normal(size=3)
         n = float(rng.uniform(0.1, 5.0))
-        direct = n * abs(scalar_product(d, e)) ** 2
+        direct = n * abs(np.sum(d * e)) ** 2
         parts = decompose_coupling(d, e, n)
         assert rel_err(parts.total, direct) < 1e-12
     for _ in range(200):

@@ -6,6 +6,7 @@ import pytest
 
 from surfemit import ResultTable
 from surfemit.cli import CliError, _parse_dipole, _parse_x_values, run
+from surfemit.validation import CHECKS
 
 
 def table_from(capsys):
@@ -16,8 +17,8 @@ def table_from(capsys):
 def test_validate_passes(capsys):
     assert run(["validate"]) == 0
     out = capsys.readouterr().out
-    assert "17/17 checks passed" in out
-    assert out.count("PASS") == 17
+    assert f"{len(CHECKS)}/{len(CHECKS)} checks passed" in out
+    assert out.count("PASS") == len(CHECKS)
     assert "FAIL" not in out
 
 
@@ -25,10 +26,11 @@ def test_validate_samples_scale_with_the_index(capsys):
     # the draws and the branch-point probe follow xi_max and n1, so no
     # check fails for its own sampling at a small or a large index
     assert run(["validate", "--n1=100"]) == 0
-    assert "17/17 checks passed" in capsys.readouterr().out
+    assert f"{len(CHECKS)}/{len(CHECKS)} checks passed" in (
+        capsys.readouterr().out)
     run(["validate", "--n1=1.000001"])
     out = capsys.readouterr().out
-    assert out.count("\n") == 18 and "raised" not in out
+    assert out.count("\n") == len(CHECKS) + 1 and "raised" not in out
 
 
 def test_rates_stdout_csv(capsys):
@@ -166,6 +168,7 @@ def test_nonfinite_inputs_rejected(capsys, argv):
     (["pattern", "--x-nm=-5"], "--x-nm"),
     (["density", "--grid-extent=inf"], "--grid-extent"),
     (["rates", "--x-nm=10,-5"], "--x-nm"),
+    (["validate", "--seed=-1"], "--seed"),
 ])
 def test_request_errors_name_their_flag(capsys, argv, flag):
     assert run(argv) == 1
@@ -245,6 +248,7 @@ def test_config_file_errors(tmp_path, capsys):
     ("validate", {"seed": "x"}, "--seed"),
     ("rates", {"x-nm": [1, None]}, "float"),
     ("rates", {"out": 5}, "--out"),
+    ("validate", {"seed": -1}, "--seed"),
 ])
 def test_config_values_that_fail_conversion(tmp_path, capsys, command,
                                             values, flag):

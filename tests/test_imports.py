@@ -1,5 +1,6 @@
-"""No module of the package imports a name that it does not use, and no
-computation module keeps code that only the check suite calls.
+"""No module of the package imports a name that it does not use, no
+computation module keeps code that only the check suite calls, and the
+check suite keeps no public code that none of its checks reaches.
 
 `__init__.py` is skipped: its imports are the public surface.  An
 import marked `# noqa: F401` is kept on purpose (the benchmark tracer
@@ -87,3 +88,50 @@ def test_no_check_only_code_in_the_computation_modules():
                        *surfemit.__all__])
     sources = {p.stem: p.read_text() for p in MODULES}
     assert check_only_names(sources, named) == []
+
+
+def unreached_names(source: str, named: str) -> list:
+    """Public top-level functions and classes of the validation source
+    that no check reaches and that the text named does not mention.
+
+    A name is reached when the functions listed in CHECKS, run_checks or
+    format_report use it, directly or through the top-level definitions
+    they use in turn."""
+    tree = ast.parse(source)
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    roots = {"run_checks", "format_report"}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CHECKS"
+                for t in node.targets):
+            roots.update(n.id for n in ast.walk(node.value)
+                         if isinstance(n, ast.Name))
+    reached, todo = set(), [name for name in roots if name in defs]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo.extend(n.id for n in ast.walk(defs[name])
+                    if isinstance(n, ast.Name) and n.id in defs)
+    return [name for name in defs
+            if not name.startswith("_") and name not in reached
+            and not re.search(rf"\b{name}\b", named)]
+
+
+def test_the_check_finds_unreached_validation_code():
+    source = ("def _check_a(cfg): return helper()\n"
+              "def helper(): return Inner()\n"
+              "class Inner: pass\n"
+              "def documented(): pass\ndef orphan(): pass\n"
+              "def run_checks(): return [c for _, c in CHECKS]\n"
+              "def format_report(results): pass\n"
+              "CHECKS = ((\"a\", _check_a),)\n")
+    assert unreached_names(source, "see `documented`") == ["orphan"]
+
+
+def test_validation_keeps_only_code_that_a_check_reaches():
+    named = (PACKAGE.parents[1] / "README.md").read_text()
+    assert unreached_names((PACKAGE / "validation.py").read_text(),
+                           named) == []

@@ -1,5 +1,6 @@
-"""Complex 3-vector helpers (density) and the irreducible tensor algebra
-of the check suite (validation)."""
+"""Complex 3-vector helpers (density) and the scalar/vector/tensor split
+of a coupling that the check suite applies to the package's modes
+(validation)."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfemit.density import as_cvector, ellipticity_vector, vector_norm
-from surfemit.validation import (RateDecomposition, cartesian_components,
-                                 compound_tensor, decompose_coupling,
-                                 scalar_product, spherical_components,
-                                 tensor_scalar_product)
+from surfemit.validation import RateDecomposition, decompose_coupling
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -36,33 +34,9 @@ def test_vector_norm_scales_only_out_of_range_squares():
     assert np.isnan(vector_norm([np.nan, 1.0, 0.0]))
 
 
-def test_spherical_components_basis_vectors():
-    assert np.allclose(spherical_components([1, 0, 0]),
-                       [1 / SQ2, 0, -1 / SQ2])
-    assert np.allclose(spherical_components([0, 1, 0]),
-                       [-1j / SQ2, 0, -1j / SQ2])
-    assert np.allclose(spherical_components([0, 0, 1]), [0, 1, 0])
-
-
 def test_as_cvector_rejects_wrong_shape():
     with pytest.raises(ValueError):
         as_cvector([1.0, 2.0])
-
-
-@given(cvectors())
-def test_spherical_cartesian_roundtrip(v):
-    back = cartesian_components(spherical_components(v))
-    assert np.allclose(back, v, atol=1e-12)
-
-
-@given(cvectors(), cvectors())
-def test_scalar_product_matches_spherical_contraction(a, b):
-    direct = scalar_product(a, b)
-    sa = spherical_components(a)
-    sb = spherical_components(b)
-    q = np.array([-1, 0, 1])
-    contracted = np.sum((-1.0) ** q * sa * sb[::-1])
-    assert abs(direct - contracted) <= 1e-12 * max(1.0, abs(direct))
 
 
 def test_ellipticity_frozen_examples():
@@ -71,30 +45,6 @@ def test_ellipticity_frozen_examples():
     eps_xz = np.array([1.0, 0.0, 1.0j]) / SQ2
     assert np.allclose(ellipticity_vector(eps_xz), [0.0, 1.0, 0.0])
     assert np.allclose(ellipticity_vector([0.3, -1.2, 0.7]), 0.0)
-
-
-def test_compound_tensor_rank0_is_norm():
-    v = np.array([0.3 + 0.1j, -0.2j, 0.8])
-    t0 = compound_tensor(v, 0)
-    assert t0.shape == (1,)
-    assert np.isclose(t0[0], -vector_norm(v) ** 2 / np.sqrt(3.0))
-
-
-@given(cvectors())
-def test_compound_tensor_rank2_hermiticity(v):
-    t2 = compound_tensor(v, 2)
-    q = np.arange(-2, 3)
-    assert np.allclose(np.conj(t2), (-1.0) ** q * t2[::-1], atol=1e-12)
-
-
-def test_compound_tensor_rejects_bad_rank():
-    with pytest.raises(ValueError):
-        compound_tensor([1, 0, 0], 3)
-
-
-def test_tensor_scalar_product_shape_check():
-    with pytest.raises(ValueError):
-        tensor_scalar_product(np.zeros(3), np.zeros(5))
 
 
 @given(cvectors(), cvectors())
@@ -116,6 +66,27 @@ def test_vector_part_vanishes_for_real_pairs(d, e):
 def test_decompose_coupling_rejects_negative_weight():
     with pytest.raises(ValueError):
         decompose_coupling([1, 0, 0], [0, 1, 0], -1.0)
+
+
+# (scalar, vector, tensor) parts at N = 1, computed by the spherical-basis
+# contraction sum_q (-1)^q T_q S_{-q} of the compound tensors
+# {d* (x) d}_Kq and {e* (x) e}_Kq that the Cartesian split replaced
+PINNED = [
+    ([1, 0, 1j], [0.6, 0.3, -0.8j],
+     (0.7266666666666667, 0.96, 0.2733333333333334)),
+    ([0.3 + 0.1j, -0.2j, 0.8], [1.0, 0.5 + 0.5j, -0.25j],
+     (0.40625, 0.06, -0.26625000000000004)),
+    ([0.3, -1.2, 0.7], [-0.4 + 0.9j, 0.2, 1.1 - 0.3j],
+     (1.5554000000000003, 0.0, -1.3836999999999997)),
+]
+
+
+@pytest.mark.parametrize("d, e, parts", PINNED)
+def test_decomposition_matches_the_spherical_route(d, e, parts):
+    dec = decompose_coupling(d, e, 1.0)
+    scale = vector_norm(d) ** 2 * vector_norm(e) ** 2
+    got = (dec.scalar_part, dec.vector_part, dec.tensor_part)
+    assert np.max(np.abs(np.subtract(got, parts))) <= 1e-15 * scale
 
 
 def test_rate_decomposition_total():

@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Subcommands: rates (distance sweep), density (wave-vector grid),
-pattern (direction scan), asymmetry (directionality sweep), validate
-(self-check suite).  All physics flags can also come from a JSON config
-file via --config; explicit flags win on conflict.  Tables go to --out
-or stdout as CSV or JSON and are byte-identical across repeat runs.
+Subcommands: rates (distance sweep), asymmetry (directionality sweep),
+density (wave-vector grid), pattern (direction scan) and validate
+(self-check suite).  One table, _SUBCOMMANDS, gives every subcommand its
+flags.  Flag values arrive as text: this module converts them, the
+library checks them, and any bad value ends in the one line
+`error: <flag>: <message>` with exit code 1.  All physics flags can also
+come from a JSON config file via --config; explicit flags win on
+conflict.  Tables go to --out or stdout as CSV or JSON and are
+byte-identical across repeat runs.
 
 Exit codes: 0 success, 1 domain or usage errors, 2 validation failure.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -31,38 +36,52 @@ class CliError(Exception):
     """One-line user-facing diagnostic; maps to exit code 1."""
 
 
-# the flag that sets each SweepRequest field the CLI fills
-_FIELD_FLAGS = {"x_nm": "--x-nm", "x_fixed_nm": "--x-nm", "grid_n": "--grid-n",
-                "grid_extent": "--grid-extent", "plane": "--plane",
-                "n_angles": "--n-theta"}
+# Every subcommand's help line and flags (flag -> help), from the
+# physics flags that all of them take and the table flags of the four
+# that write a table.
+_PHYSICS = {
+    "--n1": "refractive index of the dielectric (default 1.45)",
+    "--wavelength-nm": "free-space transition wavelength in nm (default 852)",
+    "--rtol": "quadrature relative tolerance",
+    "--atol": "quadrature absolute tolerance",
+    "--max-subdivisions": "quadrature panel budget",
+    "--config": "JSON file with default flag values (explicit flags win)",
+}
+_TABLE = {
+    **_PHYSICS,
+    "--dipole": "dipole polarization: preset {x,y,z,theta-xz,eps-xz} or "
+                "six reals re_x,im_x,re_y,im_y,re_z,im_z",
+    "--out": "output path (default: stdout)",
+    "--format": "output format, csv or json (default csv)",
+}
+_SWEEP_X = {"--x-nm": "distances in nm: start:stop:step or a comma list"}
+_FIXED_X = {"--x-nm": "emitter distance in nm (single value)"}
+_SUBCOMMANDS = {
+    "rates": ("rate sweep over emitter distance", {**_TABLE, **_SWEEP_X}),
+    "asymmetry": ("directional differences and asymmetry factors over "
+                  "distance", {**_TABLE, **_SWEEP_X}),
+    "density": ("angular density grid in the wave-vector plane", {
+        **_TABLE, **_FIXED_X,
+        "--grid-n": "grid points per axis (default 64)",
+        "--grid-extent": "half-width of the grid in kappa units (default "
+                         "n1; 1.0 restricts to radiation modes)"}),
+    "pattern": ("far-field pattern around a great circle", {
+        **_TABLE, **_FIXED_X,
+        "--plane": "scan plane, xz or xy (default xz)",
+        "--n-theta": "number of directions around the circle "
+                     "(default 360)"}),
+    "validate": ("run the self-check suite",
+                 {**_PHYSICS, "--seed": "random seed for the check suite"}),
+}
 
-
-def _add_common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--n1", type=float, default=None,
-                     help="refractive index of the dielectric (default 1.45)")
-    sub.add_argument("--wavelength-nm", type=float, default=None,
-                     help="free-space transition wavelength in nm "
-                          "(default 852)")
-    sub.add_argument("--dipole", default=None,
-                     help="dipole polarization: preset "
-                          "{x,y,z,theta-xz,eps-xz} or six reals "
-                          "re_x,im_x,re_y,im_y,re_z,im_z")
-    sub.add_argument("--rtol", type=float, default=None,
-                     help="quadrature relative tolerance")
-    sub.add_argument("--atol", type=float, default=None,
-                     help="quadrature absolute tolerance")
-    sub.add_argument("--max-subdivisions", type=int, default=None,
-                     help="quadrature panel budget")
-    sub.add_argument("--config", default=None,
-                     help="JSON file with default flag values "
-                          "(explicit flags win)")
-
-
-def _add_output_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--out", default=None,
-                     help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="output format (default csv)")
+# The flag that sets each library field the CLI fills: a library
+# ValueError whose message starts with a field names that flag.
+_FIELD_FLAGS = {"n1": "--n1", "lambda0_nm": "--wavelength-nm",
+                "rtol": "--rtol", "atol": "--atol",
+                "max_subdivisions": "--max-subdivisions",
+                "x_nm": "--x-nm", "x_fixed_nm": "--x-nm",
+                "grid_n": "--grid-n", "grid_extent": "--grid-extent",
+                "plane": "--plane", "n_angles": "--n-theta"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,50 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "far-field patterns for a dipole emitter near a flat "
                     "dielectric surface.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = subs.add_parser("rates", help="rate sweep over emitter distance")
-    _add_common_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--x-nm", default=None,
-                    help="distances in nm: start:stop:step or a comma list")
-
-    sp = subs.add_parser("asymmetry",
-                         help="directional differences and asymmetry "
-                              "factors over distance")
-    _add_common_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--x-nm", default=None,
-                    help="distances in nm: start:stop:step or a comma list")
-
-    sp = subs.add_parser("density",
-                         help="angular density grid in the wave-vector "
-                              "plane")
-    _add_common_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--x-nm", default=None,
-                    help="emitter distance in nm (single value)")
-    sp.add_argument("--grid-n", type=int, default=None,
-                    help="grid points per axis (default 64)")
-    sp.add_argument("--grid-extent", type=float, default=None,
-                    help="half-width of the grid in kappa units "
-                         "(default n1; 1.0 restricts to radiation modes)")
-
-    sp = subs.add_parser("pattern", help="far-field pattern around a "
-                                         "great circle")
-    _add_common_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--x-nm", default=None,
-                    help="emitter distance in nm (single value)")
-    sp.add_argument("--plane", choices=("xz", "xy"), default=None,
-                    help="scan plane (default xz)")
-    sp.add_argument("--n-theta", type=int, default=None,
-                    help="number of directions around the circle "
-                         "(default 360)")
-
-    sp = subs.add_parser("validate", help="run the self-check suite")
-    _add_common_flags(sp)
-    sp.add_argument("--seed", type=int, default=None,
-                    help="random seed for the check suite")
+    for name, (summary, flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        for flag, text in flags.items():
+            sub.add_argument(flag, help=text)
     return parser
 
 
@@ -133,17 +112,12 @@ def _load_config_file(path: str) -> dict:
 
 def _pick(args, file_cfg: dict, key: str, fallback):
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return fallback
+    return value if value is not None else file_cfg.get(key, fallback)
 
 
 def _number(args, file_cfg: dict, key: str, fallback, kind=float):
-    """A numeric setting, converted by kind; a value that does not
-    convert is a CliError naming its flag.  An optional setting (fallback
-    None) that is left unset stays None."""
+    """A numeric setting converted by kind, or None for an unset optional
+    one (fallback None); a value that does not convert names its flag."""
     value = _pick(args, file_cfg, key, fallback)
     if value is None and fallback is None:
         return None
@@ -184,52 +158,15 @@ def _parse_x_values(text) -> tuple:
     if isinstance(text, (list, tuple)):
         return tuple(float(v) for v in text)
     text = str(text).strip()
-    if text == "":
-        return ()
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return tuple(float(p) for p in text.split(",")) if text else ()
         parts = text.split(":")
         if len(parts) != 3:
-            raise CliError("--x-nm: range must be start:stop:step")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise CliError(f"--x-nm: {exc}") from exc
-        try:
-            return SweepRequest.x_values(start, stop, step)
-        except ValueError as exc:
-            raise CliError(f"--x-nm: {exc}") from exc
-    try:
-        return tuple(float(p) for p in text.split(","))
+            raise ValueError("range must be start:stop:step")
+        return SweepRequest.x_values(*(float(p) for p in parts))
     except ValueError as exc:
         raise CliError(f"--x-nm: {exc}") from exc
-
-
-def _parse_x_single(text) -> float:
-    try:
-        return float(str(text).strip())
-    except ValueError as exc:
-        raise CliError(f"--x-nm: {exc}") from exc
-
-
-def _build_interface(args, file_cfg) -> InterfaceConfig:
-    n1 = _number(args, file_cfg, "n1", 1.45)
-    lam = _number(args, file_cfg, "wavelength_nm", 852.0)
-    try:
-        return InterfaceConfig(n1=n1, lambda0_nm=lam)
-    except ValueError as exc:
-        raise CliError(f"--n1/--wavelength-nm: {exc}") from exc
-
-
-def _build_quad(args, file_cfg) -> QuadratureSpec:
-    defaults = QuadratureSpec()
-    rtol = _number(args, file_cfg, "rtol", defaults.rtol)
-    atol = _number(args, file_cfg, "atol", defaults.atol)
-    budget = _number(args, file_cfg, "max_subdivisions",
-                     defaults.max_subdivisions, int)
-    try:
-        return QuadratureSpec(rtol=rtol, atol=atol, max_subdivisions=budget)
-    except ValueError as exc:
-        raise CliError(f"--rtol/--atol/--max-subdivisions: {exc}") from exc
 
 
 def _emit(columns, metadata, blocks, args, file_cfg) -> int:
@@ -254,51 +191,49 @@ def _emit(columns, metadata, blocks, args, file_cfg) -> int:
 
 
 def _dispatch(args) -> int:
-    file_cfg = {}
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        file_cfg = _load_config_file(config_path)
-    cfg = _build_interface(args, file_cfg)
-    quad = _build_quad(args, file_cfg)
+    file_cfg = {} if args.config is None else _load_config_file(args.config)
 
-    if args.subcommand == "validate":
-        # the check suite is imported only when asked for
-        from .validation import DEFAULT_SEED, format_report, run_checks
-        seed = _number(args, file_cfg, "seed", DEFAULT_SEED, int)
-        if seed < 0:
-            raise CliError(f"--seed: must be nonnegative, got {seed}")
-        results = run_checks(cfg, quad, seed=seed)
-        sys.stdout.write(format_report(results))
-        return 0 if all(r.passed for r in results) else 2
+    def number(key, fallback, kind=float):
+        return _number(args, file_cfg, key, fallback, kind)
 
-    dipole = _parse_dipole(_pick(args, file_cfg, "dipole", "x"))
+    default = QuadratureSpec()
     try:
+        cfg = InterfaceConfig(n1=number("n1", 1.45),
+                              lambda0_nm=number("wavelength_nm", 852.0))
+        quad = QuadratureSpec(
+            rtol=number("rtol", default.rtol),
+            atol=number("atol", default.atol),
+            max_subdivisions=number("max_subdivisions",
+                                    default.max_subdivisions, int))
+        if args.subcommand == "validate":
+            # the check suite is imported only when asked for
+            from .validation import DEFAULT_SEED, format_report, run_checks
+            seed = number("seed", DEFAULT_SEED, int)
+            if seed < 0:
+                raise CliError(f"--seed: must be nonnegative, got {seed}")
+            results = run_checks(cfg, quad, seed=seed)
+            sys.stdout.write(format_report(results))
+            return 0 if all(r.passed for r in results) else 2
+
+        dipole = _parse_dipole(_pick(args, file_cfg, "dipole", "x"))
         if args.subcommand in ("rates", "asymmetry"):
-            x_values = _parse_x_values(_pick(args, file_cfg, "x_nm",
-                                             "0:800:2"))
-            req = SweepRequest(config=cfg, dipole=dipole, x_nm=x_values,
-                               quad=quad)
-            table = (sweep_rates(req) if args.subcommand == "rates"
-                     else sweep_asymmetry(req))
+            fields = {"x_nm": _parse_x_values(
+                _pick(args, file_cfg, "x_nm", "0:800:2"))}
         elif args.subcommand == "density":
-            req = SweepRequest(
-                config=cfg, dipole=dipole, quad=quad,
-                grid_n=_number(args, file_cfg, "grid_n", 64, int),
-                grid_extent=_number(args, file_cfg, "grid_extent", None),
-                x_fixed_nm=_parse_x_single(_pick(args, file_cfg, "x_nm",
-                                                 0.0)))
-            table = None
+            fields = {"grid_n": number("grid_n", 64, int),
+                      "grid_extent": number("grid_extent", None)}
         else:
-            req = SweepRequest(
-                config=cfg, dipole=dipole, quad=quad,
-                plane=str(_pick(args, file_cfg, "plane", "xz")),
-                n_angles=_number(args, file_cfg, "n_theta", 360, int),
-                x_fixed_nm=_parse_x_single(_pick(args, file_cfg, "x_nm",
-                                                 0.0)))
-            table = scan_pattern(req)
+            fields = {"plane": str(_pick(args, file_cfg, "plane", "xz")),
+                      "n_angles": number("n_theta", 360, int)}
+        if "x_nm" not in fields:
+            fields["x_fixed_nm"] = number("x_nm", 0.0)
+        req = SweepRequest(config=cfg, dipole=dipole, quad=quad, **fields)
+        # a density grid is computed as it is written, by _emit
+        compute = {"rates": sweep_rates, "asymmetry": sweep_asymmetry,
+                   "pattern": scan_pattern}.get(args.subcommand)
+        table = compute(req) if compute else None
     except (TypeError, ValueError) as exc:
-        # a SweepRequest message starts with the field it rejects
-        flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
+        flag = _FIELD_FLAGS.get(re.match(r"\w*", str(exc)).group())
         raise CliError(f"{flag}: {exc}" if flag else str(exc)) from exc
     if table is None:
         # the grid goes from the kernels to the writer a block at a time

@@ -68,9 +68,10 @@ class InterfaceConfig:
         if not n1sq * n1sq < math.inf:
             raise ValueError(f"n1^4 must be finite (n1 below about "
                              f"1.16e77), got {self.n1}")
-        if not 0.0 < self.lambda0_nm < math.inf:
-            raise ValueError(
-                f"lambda0_nm must be finite and > 0, got {self.lambda0_nm}")
+        if not (0.0 < self.lambda0_nm < math.inf
+                and 2.0 * math.pi / self.lambda0_nm < math.inf):
+            raise ValueError("lambda0_nm must be finite and > 0, with a "
+                             f"finite k0, got {self.lambda0_nm}")
 
     @property
     def n2(self) -> float:

@@ -36,6 +36,9 @@ _NODES = np.concatenate([_HI_NODES, _LO_NODES])
 # temporaries of a stack stay near 64 kB apiece whatever its heights.
 BATCH_ELEMENTS = 2 ** 13
 
+# Most radiation seed panels of one height: about 25 000 wavelengths.
+MAX_RADIATION_PANELS = 10 ** 5
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -46,8 +49,10 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
+        for name in ("rtol", "atol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{getattr(self, name)!r}")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be at least 10")
 
@@ -154,8 +159,14 @@ def integrate(f, breakpoints, spec: QuadratureSpec = QuadratureSpec()) -> float:
 
 def _radiation_panels(two_k0x):
     """ceil(2 k0 x / pi) + 1 uniform panels in t, so each covers about
-    half a period of cos/sin(2 xi k0 x)."""
-    return np.ceil(np.asarray(two_k0x) / np.pi) + 1.0
+    half a period of cos/sin(2 xi k0 x); more than MAX_RADIATION_PANELS
+    is a ValueError."""
+    panels = np.ceil(np.asarray(two_k0x) / np.pi) + 1.0
+    if not np.all(panels <= MAX_RADIATION_PANELS):
+        raise ValueError(f"x_nm must be below about "
+                         f"{MAX_RADIATION_PANELS // 4} wavelengths, "
+                         f"got {np.max(panels):.6g} radiation seed panels")
+    return panels
 
 
 def branch_rule(cfg: InterfaceConfig, branch: str, g, two_k0x: float):

@@ -59,6 +59,12 @@ ZONE_CODES = {"rad_vacuum": 0.0, "evan_forbidden": 1.0, "rad_material": 2.0}
 
 _KAPPA_SNAP = 1e-9
 
+# Size bounds, checked before anything of that size is allocated; README
+# "Command line" gives the reason for each.
+MAX_HEIGHTS = 10 ** 5
+MAX_GRID_N = 2048
+MAX_ANGLES = 10 ** 5
+
 
 @dataclass(frozen=True, eq=False)
 class SweepRequest:
@@ -86,8 +92,9 @@ class SweepRequest:
         object.__setattr__(self, "x_nm",
                            tuple(float(x) for x in self.x_nm))
         check_height(self.x_nm)
-        if self.grid_n < 16:
-            raise ValueError("grid_n must be at least 16")
+        if not 16 <= self.grid_n <= MAX_GRID_N:
+            raise ValueError(f"grid_n must be between 16 and {MAX_GRID_N}, "
+                             f"got {self.grid_n!r}")
         # the grid's axis spans 2 * grid_extent; where that overflows,
         # np.linspace gives NaN kappa values
         if self.grid_extent is not None and not (
@@ -96,8 +103,9 @@ class SweepRequest:
                              f"span 2 * grid_extent, got {self.grid_extent!r}")
         if self.plane not in ("xz", "xy"):
             raise ValueError(f"plane must be 'xz' or 'xy', got {self.plane!r}")
-        if self.n_angles < 4:
-            raise ValueError("n_angles must be at least 4")
+        if not 4 <= self.n_angles <= MAX_ANGLES:
+            raise ValueError(f"n_angles must be between 4 and {MAX_ANGLES}, "
+                             f"got {self.n_angles!r}")
         check_height(self.x_fixed_nm, "x_fixed_nm")
         if self.channels is not None:
             bad = set(self.channels) - set(GRID_CHANNELS)
@@ -109,14 +117,19 @@ class SweepRequest:
 
     @staticmethod
     def x_values(start: float, stop: float, step: float) -> tuple:
-        """Inclusive arithmetic distance grid start:stop:step (nm)."""
+        """Inclusive arithmetic distance grid start:stop:step (nm), of at
+        most MAX_HEIGHTS heights."""
         if not all(map(math.isfinite, (start, stop, step))):
             raise ValueError("start, stop and step must be finite")
         if step <= 0.0:
             raise ValueError("step must be positive")
         if stop < start:
             raise ValueError("empty x range: stop < start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_HEIGHTS:
+            raise ValueError(f"x_nm range must give at most {MAX_HEIGHTS} "
+                             f"heights, got about {span + 1.0:.6g}")
+        count = int(math.floor(span)) + 1
         return tuple(float(start + step * i) for i in range(count))
 
 

@@ -1,12 +1,41 @@
 import json
+import os
+import re
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from surfemit import ResultTable
-from surfemit.cli import CliError, _parse_dipole, _parse_x_values, run
+from surfemit.cli import (_SUBCOMMANDS, CliError, _parse_dipole,
+                          _parse_x_values, run)
 from surfemit.validation import CHECKS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Address-space cap of a CLI process that gets an oversized input, so
+# that an input the CLI fails to reject ends in a MemoryError, not in
+# the host's memory
+ADDRESS_SPACE = 2 * 1024 ** 3
+
+
+def run_capped(argv):
+    """`python -m surfemit.cli argv` in a child process under
+    ADDRESS_SPACE, given at most 60 s."""
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = (ADDRESS_SPACE if hard == resource.RLIM_INFINITY
+                else min(ADDRESS_SPACE, hard))
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "surfemit.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, preexec_fn=cap)
 
 
 def table_from(capsys):
@@ -169,13 +198,52 @@ def test_nonfinite_inputs_rejected(capsys, argv):
     (["density", "--grid-extent=inf"], "--grid-extent"),
     (["rates", "--x-nm=10,-5"], "--x-nm"),
     (["validate", "--seed=-1"], "--seed"),
+    (["rates", "--wavelength-nm=inf"], "--wavelength-nm"),
+    (["rates", "--atol=inf"], "--atol"),
+    (["rates", "--rtol=inf", "--x-nm=0"], "--rtol"),
+    (["rates", "--max-subdivisions=3"], "--max-subdivisions"),
+    # 4.7e9 radiation seed panels, 35 GiB
+    (["rates", "--x-nm=1e12"], "--x-nm"),
+    (["rates", "--x-nm=1e300"], "--x-nm"),
+    (["rates", "--x-nm=0:1e300:1"], "--x-nm"),
+    (["pattern", "--n-theta=1000000000"], "--n-theta"),
+    (["density", "--grid-n=1000000000"], "--grid-n"),
+    # k0 = 2 pi / lambda0 overflows, and 2 k0 x at x = 0 is NaN
+    (["rates", "--wavelength-nm=1e-308", "--x-nm=0"], "--wavelength-nm"),
 ])
-def test_request_errors_name_their_flag(capsys, argv, flag):
-    assert run(argv) == 1
-    res = capsys.readouterr()
-    assert res.out == ""
-    assert res.err.startswith(f"error: {flag}: ") and res.err.count("\n") == 1
-    assert "Traceback" not in res.err
+def test_request_errors_name_their_flag(argv, flag):
+    # in a child process, as an oversized input that is not rejected
+    # would allocate without bound
+    res = run_capped(argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {flag}: ")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
+def test_validate_takes_no_dipole(capsys):
+    assert run(["validate", "--dipole=x"]) == 1
+    assert "--dipole" in capsys.readouterr().err
+
+
+_PHYSICS = {"--n1", "--wavelength-nm", "--rtol", "--atol",
+            "--max-subdivisions", "--config"}
+_TABLE = _PHYSICS | {"--dipole", "--out", "--format"}
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("rates", _TABLE | {"--x-nm"}),
+    ("asymmetry", _TABLE | {"--x-nm"}),
+    ("density", _TABLE | {"--x-nm", "--grid-n", "--grid-extent"}),
+    ("pattern", _TABLE | {"--x-nm", "--plane", "--n-theta"}),
+    ("validate", _PHYSICS | {"--seed"}),
+])
+def test_subcommand_help_lists_its_flags(capsys, command, flags):
+    assert set(_SUBCOMMANDS[command][1]) == flags
+    assert run([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert listed == flags | {"--help"}
 
 
 def test_unknown_flag(capsys):

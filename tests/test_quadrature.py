@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from surfemit import InterfaceConfig, QuadratureError, QuadratureSpec
-from surfemit.quadrature import branch_rule, integrate
+from surfemit.quadrature import MAX_RADIATION_PANELS, branch_rule, integrate
 
 
 def test_spec_defaults_and_validation():
@@ -16,6 +18,27 @@ def test_spec_defaults_and_validation():
         QuadratureSpec(atol=-1e-3)
     with pytest.raises(ValueError, match="at least 10"):
         QuadratureSpec(max_subdivisions=5)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("field", ["rtol", "atol"])
+def test_spec_tolerances_finite_and_positive(field, value):
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be finite and positive"):
+        QuadratureSpec(**{field: value})
+
+
+def test_radiation_seed_panels_bounded(cfg):
+    # 1 cm at 852 nm keeps its ceil(2 k0 x / pi) + 1 uniform panels
+    two_k0x = 2.0 * cfg.k0_nm * 1e7
+    _, edges = branch_rule(cfg, "radiation", np.sqrt, two_k0x)
+    assert edges.size - 1 == math.ceil(two_k0x / math.pi) + 1 == 46950
+    top = math.pi * (MAX_RADIATION_PANELS - 2) + 1.0
+    _, edges = branch_rule(cfg, "radiation", np.sqrt, top)
+    assert edges.size - 1 == MAX_RADIATION_PANELS
+    for two_k0x in (top + math.pi, 1e300):
+        with pytest.raises(ValueError, match="^x_nm must be below about"):
+            branch_rule(cfg, "radiation", np.sqrt, two_k0x)
 
 
 def test_polynomial_exact():

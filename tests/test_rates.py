@@ -62,6 +62,13 @@ def test_negative_distance_rejected(cfg):
         rate_report(cfg, dip, -5.0)
 
 
+def test_height_beyond_the_seed_panel_bound_rejected(cfg):
+    # 1e12 nm asks for 4.7e9 radiation seed panels (35 GiB)
+    dip = DipolePolarization.from_preset("x")
+    with pytest.raises(ValueError, match="^x_nm must be below about"):
+        rate_report(cfg, dip, 1e12)
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-9, -100.0])
 @pytest.mark.parametrize("rate", [
     rate_report,

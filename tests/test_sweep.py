@@ -12,7 +12,8 @@ from surfemit import (DIPOLE_PRESETS, DipolePolarization, InterfaceConfig,
                       SweepRequest, grid_density, rate_report, scan_pattern,
                       sweep_asymmetry, sweep_rates)
 from surfemit.rates import RateReport, rate_columns
-from surfemit.sweep import GRID_CHANNELS, TABLE_MAGIC
+from surfemit.sweep import (GRID_CHANNELS, MAX_ANGLES, MAX_GRID_N,
+                            MAX_HEIGHTS, TABLE_MAGIC)
 
 
 def small_request(cfg, preset="x", **kw):
@@ -56,6 +57,22 @@ def test_x_values_grammar():
                 (0.0, 1.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             SweepRequest.x_values(*bad)
+
+
+def test_size_bounds(cfg):
+    dip = DipolePolarization.from_preset("x")
+    assert len(SweepRequest.x_values(0.0, MAX_HEIGHTS - 1.0, 1.0)) == (
+        MAX_HEIGHTS)
+    for stop, step in ((MAX_HEIGHTS, 1.0), (1e300, 1.0), (1e9, 1e-3),
+                       (1.7e308, 1e-308)):
+        with pytest.raises(ValueError, match="^x_nm range must give at most"):
+            SweepRequest.x_values(0.0, stop, step)
+    SweepRequest(config=cfg, dipole=dip, grid_n=MAX_GRID_N,
+                 n_angles=MAX_ANGLES)
+    with pytest.raises(ValueError, match="^grid_n must be between 16 and"):
+        SweepRequest(config=cfg, dipole=dip, grid_n=MAX_GRID_N + 1)
+    with pytest.raises(ValueError, match="^n_angles must be between 4 and"):
+        SweepRequest(config=cfg, dipole=dip, n_angles=MAX_ANGLES + 1)
 
 
 def report_row(cfg, dip, x, quad=QuadratureSpec()):

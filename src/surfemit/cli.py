@@ -26,14 +26,22 @@ from pathlib import Path
 from .density import DIPOLE_PRESETS, DipolePolarization, vector_norm
 from .optics import InterfaceConfig
 from .quadrature import QuadratureSpec
-from .sweep import (SweepRequest, _grid_blocks, _grid_layout, _render_rows,
-                    scan_pattern, sweep_asymmetry, sweep_rates)
+from .sweep import (SweepRequest, _render_grid, scan_pattern, sweep_asymmetry,
+                    sweep_rates)
 # grid_density is unused here: bench/ traces it as cli's own
 from .sweep import grid_density  # noqa: F401
 
 
 class CliError(Exception):
     """One-line user-facing diagnostic; maps to exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser (and its subcommands'), with a usage error as
+    the one error line: `argument --n1: ...` becomes `--n1: ...`."""
+
+    def error(self, message):
+        raise CliError(re.sub(r"^argument (\S+): ", r"\1: ", message))
 
 
 # Every subcommand's help line and flags (flag -> help), from the
@@ -85,7 +93,7 @@ _FIELD_FLAGS = {"n1": "--n1", "lambda0_nm": "--wavelength-nm",
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="surfemit",
         description="Spontaneous-emission rates, mode densities and "
                     "far-field patterns for a dipole emitter near a flat "
@@ -169,22 +177,20 @@ def _parse_x_values(text) -> tuple:
         raise CliError(f"--x-nm: {exc}") from exc
 
 
-def _emit(columns, metadata, blocks, args, file_cfg) -> int:
-    """Write the table given by its row blocks to --out or stdout a
-    rendered block at a time."""
+def _emit(render, args, file_cfg) -> int:
+    """Write the text pieces of render(fmt) to --out or stdout."""
     fmt = _pick(args, file_cfg, "format", "csv")
     if fmt not in ("csv", "json"):
         raise CliError(f"--format: must be csv or json, got {fmt!r}")
     out = _pick(args, file_cfg, "out", None)
     if out is not None and not isinstance(out, str):
         raise CliError(f"--out: expected a path, got {out!r}")
-    pieces = _render_rows(columns, metadata, blocks, fmt)
     if out is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(render(fmt))
         return 0
     try:
         with open(out, "w") as fh:
-            fh.writelines(pieces)
+            fh.writelines(render(fmt))
     except OSError as exc:
         raise CliError(f"--out: cannot write {out}: {exc}") from exc
     return 0
@@ -228,29 +234,26 @@ def _dispatch(args) -> int:
         if "x_nm" not in fields:
             fields["x_fixed_nm"] = number("x_nm", 0.0)
         req = SweepRequest(config=cfg, dipole=dipole, quad=quad, **fields)
-        # a density grid is computed as it is written, by _emit
         compute = {"rates": sweep_rates, "asymmetry": sweep_asymmetry,
                    "pattern": scan_pattern}.get(args.subcommand)
-        table = compute(req) if compute else None
+        # a density grid goes from the kernels to the writer a block at a
+        # time, as _emit writes it
+        render = (compute(req).render if compute
+                  else lambda fmt: _render_grid(req, fmt))
     except (TypeError, ValueError) as exc:
         flag = _FIELD_FLAGS.get(re.match(r"\w*", str(exc)).group())
         raise CliError(f"{flag}: {exc}" if flag else str(exc)) from exc
-    if table is None:
-        # the grid goes from the kernels to the writer a block at a time
-        return _emit(*_grid_layout(req), _grid_blocks(req), args, file_cfg)
-    return _emit(table.columns, table.metadata, (table.rows,), args, file_cfg)
+    return _emit(render, args, file_cfg)
 
 
 def run(argv=None) -> int:
-    """Parse argv and execute one subcommand; returns the exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    """Parse argv (default sys.argv[1:]) and execute one subcommand;
+    returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        return _dispatch(build_parser().parse_args(argv))
     except SystemExit as exc:
+        # --help prints its text and exits 0
         return 0 if exc.code in (0, None) else 1
-    try:
-        return _dispatch(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,13 +14,16 @@ ResultTable.render yields that text a block at a time, and the CLI
 writes each piece straight to its destination, so a CLI process never
 holds the whole text.  A density grid is computed a block of whole grid
 rows (about 2^11 points) at a time, and the CLI hands each block from
-the kernels to the writer, so `surfemit density` never holds its table
-either: its peak memory is the interpreter plus one block, about 32 MB
-resident at 208 x 208 and 36 MB at 1000 x 1000 (a 120 MB table, 137 MB
-of CSV), in CSV or JSON, against 31 MB for a bare `import surfemit.cli`
-(Python 3.11, numpy 2.4).  Readers reject a table whose metadata fixes
-a row count (grid, rates, asymmetry, pattern) that its rows do not
-match, such as a file cut short.
+the kernels to the grid writer, _render_grid, which puts only the
+computed channel cells through "%.17g" (about 4.6 of a row's 15): a
+256 x 256 grid renders in about 150 ms as CSV and 180 ms as JSON,
+against 250 and 290 ms cell by cell (one CPU).  So `surfemit density`
+never holds its table: its peak memory is the interpreter plus one
+block, about 33 MB resident at 208 x 208 and 33.5-35 MB at 1000 x 1000
+(a 120 MB table, 137 MB of CSV), in CSV or JSON, against 31.5 MB for a
+bare `import surfemit.cli` (Python 3.11, numpy 2.4).  Readers reject a
+table whose metadata fixes a row count (grid, rates, asymmetry,
+pattern) that its rows do not match, such as a file cut short.
 
 Row order is deterministic: ascending x for distance sweeps,
 lexicographic (kappa_y, kappa_z) for grids, lexicographic (theta, phi)
@@ -54,6 +57,9 @@ REGION_OUT = -1.0
 REGION_RADIATION = 0.0
 REGION_EVANESCENT = 1.0
 REGION_BOUNDARY = 2.0
+
+# The channel families (evanescent, radiation) computed by region code + 1
+_REGION_FAMILIES = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=bool)
 
 ZONE_CODES = {"rad_vacuum": 0.0, "evan_forbidden": 1.0, "rad_material": 2.0}
 
@@ -107,6 +113,9 @@ class SweepRequest:
             raise ValueError(f"n_angles must be between 4 and {MAX_ANGLES}, "
                              f"got {self.n_angles!r}")
         check_height(self.x_fixed_nm, "x_fixed_nm")
+        if not math.isfinite(2.0 * self.config.k0_nm * self.x_fixed_nm):
+            raise ValueError("x_fixed_nm must give a finite kernel phase "
+                             f"2 k0 x, got {self.x_fixed_nm!r}")
         if self.channels is not None:
             bad = set(self.channels) - set(GRID_CHANNELS)
             if bad:
@@ -136,37 +145,44 @@ class SweepRequest:
 _BLOCK_CELLS = 1 << 13
 
 
-def _render_rows(columns, metadata, blocks, fmt: str):
-    """Yield a table given as an iterable of row blocks in fmt ("csv" or
-    "json") as text pieces: the header, then the rows as "%.17g" cells,
-    one % per block of about _BLOCK_CELLS cells, then the tail.  A
-    writer that consumes the pieces never holds the whole text, and a
-    caller that produces the blocks lazily never holds the whole
-    table; the bytes do not depend on how the rows are split."""
+def _framed(columns, metadata, fmt: str, pieces):
+    """Yield a table in fmt ("csv" or "json") as text pieces: the header,
+    each run of rows that pieces(opener, closer, sep) yields (each row
+    framed by opener and closer, rows joined by sep), then the tail."""
     meta = json.dumps(metadata, sort_keys=True, separators=(",", ":"))
-    cells = ",".join(["%.17g"] * len(columns))
     if fmt == "csv":
-        yield f"# {TABLE_MAGIC}\n# {meta}\n{','.join(columns)}\n"
-        row, sep, tail = cells + "\n", "", ""
+        head = f"# {TABLE_MAGIC}\n# {meta}\n{','.join(columns)}\n"
+        opener, closer, sep, tail = "", "\n", "", ""
     elif fmt == "json":
         cols = json.dumps(list(columns), separators=(",", ":"))
-        yield ('{"format":"%s","metadata":%s,"columns":%s,"rows":['
-               % (TABLE_MAGIC, meta, cols))
-        row, sep, tail = "[" + cells + "]", ",", "]}\n"
+        head = ('{"format":"%s","metadata":%s,"columns":%s,"rows":['
+                % (TABLE_MAGIC, meta, cols))
+        opener, closer, sep, tail = "[", "]", ",", "]}\n"
     else:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    step = max(1, _BLOCK_CELLS // max(len(columns), 1))
+    yield head
     lead = ""
-    for rows in blocks:
+    for text in pieces(opener, closer, sep):
+        if fmt == "json":
+            # %.17g writes nan and [-]inf only for non-finite cells
+            text = text.replace("nan", "null").replace("inf", "Infinity")
+        yield lead + text
+        lead = sep
+    yield tail
+
+
+def _render_rows(columns, metadata, rows, fmt: str):
+    """Yield the table of rows in fmt as text pieces (see _framed), its
+    cells as "%.17g", one % per piece of about _BLOCK_CELLS cells."""
+    step = max(1, _BLOCK_CELLS // max(len(columns), 1))
+
+    def pieces(opener, closer, sep):
+        row = opener + ",".join(["%.17g"] * len(columns)) + closer
         for i in range(0, len(rows), step):
             block = rows[i:i + step]
-            text = sep.join([row] * len(block)) % tuple(block.ravel().tolist())
-            if fmt == "json":
-                # %.17g writes nan and [-]inf only for non-finite cells
-                text = text.replace("nan", "null").replace("inf", "Infinity")
-            yield lead + text
-            lead = sep
-    yield tail
+            yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+
+    return _framed(columns, metadata, fmt, pieces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +209,8 @@ class ResultTable:
             raise KeyError(f"no column named {name!r}") from None
 
     def render(self, fmt: str):
-        """Yield the table in fmt ("csv" or "json") as text pieces; see
-        _render_rows."""
-        return _render_rows(self.columns, self.metadata, (self.rows,), fmt)
+        """Yield the table in fmt ("csv" or "json") as text pieces."""
+        return _render_rows(self.columns, self.metadata, self.rows, fmt)
 
     def to_csv(self) -> str:
         return "".join(self.render("csv"))
@@ -313,22 +328,21 @@ _GRID_BLOCK_POINTS = 1 << 11
 
 
 def _grid_layout(req: SweepRequest):
-    """Columns and metadata of the grid_density table of req."""
+    """Columns, metadata and kappa axis of req's grid_density table."""
     channels = req.channels if req.channels is not None else GRID_CHANNELS
     extent = req.grid_extent if req.grid_extent is not None else req.config.n1
     meta = _base_metadata(req, "grid")
     meta["grid"] = {"n": req.grid_n, "extent": extent,
                     "x_nm": req.x_fixed_nm, "channels": list(channels)}
-    return ("kappa_y", "kappa_z", "region") + tuple(channels), meta
+    return (("kappa_y", "kappa_z", "region") + tuple(channels), meta,
+            np.linspace(-extent, extent, req.grid_n))
 
 
 def _grid_blocks(req: SweepRequest):
     """Yield the rows of the grid_density table of req in order, in
     blocks of whole grid rows of at most about _GRID_BLOCK_POINTS points
     (at least one grid row), so the kernels' scratch is one block's."""
-    columns, meta = _grid_layout(req)
-    extent = meta["grid"]["extent"]
-    axis = np.linspace(-extent, extent, req.grid_n)
+    columns, _, axis = _grid_layout(req)
     step = max(1, _GRID_BLOCK_POINTS // req.grid_n)
     for start in range(0, req.grid_n, step):
         yield _grid_block(req, columns, axis[start:start + step], axis)
@@ -348,17 +362,11 @@ def _grid_block(req: SweepRequest, columns, ys, zs) -> np.ndarray:
     phi = np.arctan2(kz, ky)
 
     boundary = np.abs(kappa - 1.0) <= _KAPPA_SNAP
-    out = (kappa > cfg.n1 + _KAPPA_SNAP) & ~boundary
-    rad = (kappa < 1.0) & ~boundary
-    evan = ~out & ~rad & ~boundary
+    region[:] = np.select(
+        [boundary, kappa < 1.0, kappa <= cfg.n1 + _KAPPA_SNAP],
+        [REGION_BOUNDARY, REGION_RADIATION, REGION_EVANESCENT], REGION_OUT)
+    emask, rmask = _REGION_FAMILIES[region.astype(np.intp) + 1].T
 
-    region[:] = REGION_OUT
-    region[rad] = REGION_RADIATION
-    region[evan] = REGION_EVANESCENT
-    region[boundary] = REGION_BOUNDARY
-
-    emask = evan | boundary
-    evan_names = [name for name in GRID_CHANNELS[:3] if name in col]
     if np.any(emask):
         xi_e = np.where(boundary[emask], 0.0,
                         np.sqrt(np.maximum(kappa[emask] ** 2 - 1.0, 0.0)))
@@ -366,18 +374,47 @@ def _grid_block(req: SweepRequest, columns, ys, zs) -> np.ndarray:
         found = dict(zip(GRID_CHANNELS[:3],
                          f_evan(cfg, req.dipole, xi_e, phi[emask],
                                 req.x_fixed_nm)))
-        for name in evan_names:
+        for name in col.keys() & found.keys():
             col[name][emask] = found[name]
 
-    rmask = rad | boundary
-    rad_names = [name for name in GRID_CHANNELS[3:] if name in col]
     if np.any(rmask):
         xi_r = np.where(boundary[rmask], 0.0,
                         np.sqrt(np.maximum(1.0 - kappa[rmask] ** 2, 0.0)))
         breakdown = f_rad(cfg, req.dipole, xi_r, phi[rmask], req.x_fixed_nm)
-        for name in rad_names:
+        for name in col.keys() & set(GRID_CHANNELS[3:]):
             col[name][rmask] = getattr(breakdown, name)
     return data
+
+
+def _render_grid(req: SweepRequest, fmt: str):
+    """Yield grid_density(req).render(fmt) from _grid_blocks: each row's
+    format holds its axis and region text, rendered once, and the NaN
+    token in each channel that its region does not compute."""
+    columns, meta, values = _grid_layout(req)
+    n = req.grid_n
+    axis = ["%.17g," % v for v in values]
+    computed = _REGION_FAMILIES[:, [int(name in GRID_CHANNELS[3:])
+                                    for name in columns[3:]]]
+    step = _BLOCK_CELLS // len(columns)
+
+    def pieces(opener, closer, sep):
+        nan = "null" if fmt == "json" else "nan"
+        tails = ["%.17g" % (k - 1.0)
+                 + "".join("," + ("%.17g" if c else nan) for c in row)
+                 + closer for k, row in enumerate(computed)]
+        at = 0
+        for block in _grid_blocks(req):
+            for i in range(0, len(block), step):
+                rows = block[i:i + step]
+                code = rows[:, 2].astype(np.intp) + 1
+                # no name holds the piece's text while the kernels run
+                yield sep.join(
+                    [opener + axis[g // n] + axis[g % n] + tails[k]
+                     for g, k in enumerate(code.tolist(), at)]
+                ) % tuple(rows[:, 3:][computed[code]].tolist())
+                at += len(rows)
+
+    return _framed(columns, meta, fmt, pieces)
 
 
 def grid_density(req: SweepRequest) -> ResultTable:
@@ -390,7 +427,7 @@ def grid_density(req: SweepRequest) -> ResultTable:
     common limit).  Channels that do not apply to a row's branch are
     NaN.
     """
-    columns, meta = _grid_layout(req)
+    columns, meta, _ = _grid_layout(req)
     data = np.empty((req.grid_n ** 2, len(columns)))
     at = 0
     for block in _grid_blocks(req):

@@ -210,6 +210,11 @@ def test_nonfinite_inputs_rejected(capsys, argv):
     (["density", "--grid-n=1000000000"], "--grid-n"),
     # k0 = 2 pi / lambda0 overflows, and 2 k0 x at x = 0 is NaN
     (["rates", "--wavelength-nm=1e-308", "--x-nm=0"], "--wavelength-nm"),
+    # k0 x is finite but 2 k0 x overflows, which made NaN kernel cells
+    (["pattern", "--wavelength-nm=1e-305", "--x-nm=1e10", "--n-theta=8"],
+     "--x-nm"),
+    (["density", "--wavelength-nm=1e-305", "--x-nm=1e10", "--grid-n=16"],
+     "--x-nm"),
 ])
 def test_request_errors_name_their_flag(argv, flag):
     # in a child process, as an oversized input that is not rejected
@@ -222,9 +227,18 @@ def test_request_errors_name_their_flag(argv, flag):
     assert "Traceback" not in res.stderr
 
 
+def assert_one_error_line(capsys, named):
+    """The run wrote nothing to stdout and one `error:` line naming
+    `named` to stderr."""
+    res = capsys.readouterr()
+    assert res.out == ""
+    assert res.err.startswith("error: ") and res.err.count("\n") == 1
+    assert named in res.err
+
+
 def test_validate_takes_no_dipole(capsys):
     assert run(["validate", "--dipole=x"]) == 1
-    assert "--dipole" in capsys.readouterr().err
+    assert_one_error_line(capsys, "--dipole=x")
 
 
 _PHYSICS = {"--n1", "--wavelength-nm", "--rtol", "--atol",
@@ -248,12 +262,12 @@ def test_subcommand_help_lists_its_flags(capsys, command, flags):
 
 def test_unknown_flag(capsys):
     assert run(["rates", "--bogus", "1"]) == 1
-    capsys.readouterr()
+    assert_one_error_line(capsys, "--bogus")
 
 
 def test_no_subcommand(capsys):
     assert run([]) == 1
-    capsys.readouterr()
+    assert_one_error_line(capsys, "subcommand")
 
 
 def test_help_exits_zero(capsys):

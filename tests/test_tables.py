@@ -6,8 +6,10 @@ format(v, ".17g").
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -18,8 +20,10 @@ import pytest
 from surfemit import (DipolePolarization, InterfaceConfig, ResultTable,
                       SweepRequest, grid_density, scan_pattern,
                       sweep_asymmetry, sweep_rates)
+from surfemit import sweep
 from surfemit.cli import run
-from surfemit.sweep import TABLE_MAGIC
+from surfemit.density import DIPOLE_PRESETS
+from surfemit.sweep import TABLE_MAGIC, _render_grid
 
 EDGE_ROW = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
             1.7976931348623157e308)
@@ -144,6 +148,87 @@ def test_default_cli_tables_are_byte_identical(argv, tmp_path):
     dest = tmp_path / "table"
     assert run([*argv, f"--out={dest}"]) == 0
     assert dest.read_bytes() == text
+
+
+WRITER_DIPOLES = [*map(DipolePolarization.from_preset, DIPOLE_PRESETS),
+                  DipolePolarization(np.array([0.3, 0.5 + 0.1j, -0.4 - 0.7j]))]
+# 2 k0 x = 737 at 852 nm: evanescent cells underflow to 0 from xi = 1.01,
+# and some just below it are subnormal
+DEEP_NM = 5e4
+SUBSET = ("f_rad_vac", "f_evan_p", "f_rad_s1")
+
+
+def _request(dipole, **fields):
+    return SweepRequest(config=InterfaceConfig(n1=1.45, lambda0_nm=852.0),
+                        dipole=dipole, **fields)
+
+
+def _assert_same_text(got, want):
+    """Fail where got and want first differ: pytest's own report of two
+    texts of several MB that differ takes minutes."""
+    if got != want:
+        at = next(i for i in range(0, max(len(got), len(want)), 1024)
+                  if got[i:i + 1024] != want[i:i + 1024])
+        pytest.fail(f"texts differ in characters {at}-{at + 1023}: "
+                    f"{got[at:at + 1024]!r} != {want[at:at + 1024]!r}")
+
+
+def _assert_writer_gives_the_table_bytes(req):
+    table = grid_density(req)
+    _assert_same_text("".join(_render_grid(req, "csv")), table.to_csv())
+    _assert_same_text("".join(_render_grid(req, "json")), table.to_json())
+    return table
+
+
+@pytest.mark.parametrize("extent", [None, 1.0, 0.5])
+@pytest.mark.parametrize("grid_n", [16, 17, 101, 256])
+def test_grid_writer_gives_the_table_bytes(grid_n, extent):
+    # the small grids take every dipole at both heights, with all
+    # channels and with a subset; the six larger cases one dipole each
+    cases = list(itertools.product(range(len(WRITER_DIPOLES)),
+                                   (0.0, DEEP_NM), (None, SUBSET)))
+    if grid_n > 17:
+        k = 3 * (grid_n == 256) + [None, 1.0, 0.5].index(extent)
+        cases = [(k, (0.0, DEEP_NM)[k % 2], (None, SUBSET)[k // 3])]
+    for k, x_nm, channels in cases:
+        table = _assert_writer_gives_the_table_bytes(_request(
+            WRITER_DIPOLES[k], grid_n=grid_n, grid_extent=extent,
+            x_fixed_nm=x_nm, channels=channels))
+        if x_nm == DEEP_NM and extent is None and channels is None:
+            evan = table.column("f_evan")[table.column("region") == 1.0]
+            assert np.any(evan == 0.0) and np.any(evan > 0.0)
+            if grid_n != 16:
+                assert np.any((evan > 0.0) & (evan < np.finfo(float).tiny))
+
+
+def test_grid_writer_keeps_nonfinite_and_signed_zero_cells(monkeypatch):
+    specials = np.array([math.nan, math.inf, -math.inf, -0.0])
+
+    def spoiled(values):
+        values = np.array(values, dtype=float)
+        values[::2] = np.resize(specials, values[::2].shape)
+        return values
+
+    def f_rad(*args):
+        found = kernels[1](*args)
+        return dataclasses.replace(found, **{
+            f.name: spoiled(getattr(found, f.name))
+            for f in dataclasses.fields(found)})
+
+    kernels = sweep.f_evan, sweep.f_rad
+    monkeypatch.setattr(sweep, "f_evan", lambda *args: tuple(
+        spoiled(v) for v in kernels[0](*args)))
+    monkeypatch.setattr(sweep, "f_rad", f_rad)
+    # 17 points over [-1, 1] take in the branch point, where both
+    # families are computed
+    for grid_n, extent in ((16, None), (17, 1.0)):
+        table = _assert_writer_gives_the_table_bytes(_request(
+            WRITER_DIPOLES[-1], grid_n=grid_n, grid_extent=extent,
+            x_fixed_nm=120.0))
+        _assert_same_text(table.to_csv(), reference_csv(table))
+        _assert_same_text(table.to_json(), reference_json(table))
+        for token in ("null", "Infinity", "-Infinity", ",-0,"):
+            assert token in table.to_json()
 
 
 def _traced_peak(fn, *args):

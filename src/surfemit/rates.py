@@ -107,31 +107,8 @@ def axis_coefficients(cfg: InterfaceConfig, xi, branch: str):
     return (1.0 + sq) * c_p, c_s + sq * c_p
 
 
-def _rate_kernel(ux2: float, xi, coef):
-    """Total-rate kernel of either branch,
-    (1-|u_x|^2) c_s + [|u_x|^2 (2 + sq) + sq] c_p."""
-    c_s, c_p, sq = coef
-    return (1.0 - ux2) * c_s + (ux2 * (2.0 + sq) + sq) * c_p
-
-
-def _side_kernel(ux2: float, xi, coef):
-    """Side-difference kernel of either branch, xi sqrt(1 + sq) c_p."""
-    _, c_p, sq = coef
-    return xi * np.sqrt(np.maximum(1.0 + sq, 0.0)) * c_p
-
-
-def _decay(phase):
-    return np.exp(-phase)
-
-
-# The four height-dependent integrals, in the order _columns takes
-# them: name -> (branch, factor of the phase 2 k0 x xi, kernel).
-_INTEGRALS = {
-    "evan": ("evanescent", _decay, _rate_kernel),
-    "osc": ("radiation", np.cos, _rate_kernel),
-    "delta_evan": ("evanescent", _decay, _side_kernel),
-    "delta_rad": ("radiation", np.sin, _side_kernel),
-}
+# The four height-dependent integrals, in the order _columns takes them
+_INTEGRALS = ("evan", "osc", "delta_evan", "delta_rad")
 
 
 def _branch_integral(cfg: InterfaceConfig, branch: str, g, x_nm: float,
@@ -247,9 +224,8 @@ def rate_columns(cfg: InterfaceConfig, dip: DipolePolarization, xs,
     shape = (len(_INTEGRALS), two_k0x.size)
     integrals, errors = np.empty(shape), np.empty(shape)
     passed = np.empty(shape, dtype=bool)
-    for branch in ("evanescent", "radiation"):
-        picks = [i for i, spec in enumerate(_INTEGRALS.values())
-                 if spec[0] == branch]
+    # picks: the branch's rows of _INTEGRALS, rate then side integral
+    for branch, picks in (("evanescent", [0, 2]), ("radiation", [1, 3])):
         for rows in height_chunks(two_k0x):
             run = two_k0x[rows, None]
             found = integrate_rows(
@@ -278,7 +254,7 @@ def rate_report(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
     if not passed.all():
         i = int(np.argmin(passed))
         raise QuadratureError(
-            f"{list(_INTEGRALS)[i]} integral stalled at error "
+            f"{_INTEGRALS[i]} integral stalled at error "
             f"{errors[i]:.3e} after {quad.max_subdivisions} panel "
             "subdivisions", float(values[i]), float(errors[i]))
     return RateReport(*(None if np.isnan(v) else v for v in row.tolist()))
@@ -286,16 +262,25 @@ def rate_report(cfg: InterfaceConfig, dip: DipolePolarization, x_nm: float,
 
 def _stacked_integrand(cfg: InterfaceConfig, ux2: float, branch: str,
                        two_k0x):
-    """The branch's _INTEGRALS at a column of heights: xi -> array of
-    shape (integral, height, xi), from one optics evaluation."""
-    terms = [(factor, kernel) for b, factor, kernel in _INTEGRALS.values()
-             if b == branch]
+    """The branch's rate and side integrands at a column of heights:
+    xi -> array of shape (integral, height, xi), from one optics
+    evaluation.
+
+    With (c_s, c_p, sq) of _coefficients, the total-rate kernel
+    (1-|u_x|^2) c_s + [|u_x|^2 (2 + sq) + sq] c_p and the side kernel
+    xi sqrt(1 + sq) c_p, times e^{-phase} on the evanescent branch and
+    cos(phase), sin(phase) on the radiation branch, phase = 2 k0 x xi.
+    """
 
     def g(xi):
-        coef = _coefficients(cfg, xi, branch)
+        c_s, c_p, sq = _coefficients(cfg, xi, branch)
         phase = two_k0x * xi
-        return np.stack([factor(phase) * kernel(ux2, xi, coef)
-                         for factor, kernel in terms])
+        rate = (1.0 - ux2) * c_s + (ux2 * (2.0 + sq) + sq) * c_p
+        side = xi * np.sqrt(np.maximum(1.0 + sq, 0.0)) * c_p
+        if branch == "evanescent":
+            decay = np.exp(-phase)
+            return np.stack([decay * rate, decay * side])
+        return np.stack([np.cos(phase) * rate, np.sin(phase) * side])
 
     return g
 
@@ -312,17 +297,18 @@ def axis_rates(cfg: InterfaceConfig, x_nm: float,
     """
     two_k0x = 2.0 * cfg.k0_nm * x_nm
 
-    def axis(branch: str, which: int, factor) -> float:
+    def axis(branch: str, which: int) -> float:
         def g(xi):
+            phase = two_k0x * xi
             return (axis_coefficients(cfg, xi, branch)[which]
-                    * factor(two_k0x * xi))
+                    * (np.exp(-phase) if branch == "evanescent"
+                       else np.cos(phase)))
 
         return _branch_integral(cfg, branch, g, x_nm, quad)
 
-    return (1.5 * axis("evanescent", 0, _decay),
-            0.75 * axis("evanescent", 1, _decay),
-            1.0 + 1.5 * axis("radiation", 0, np.cos),
-            1.0 + 0.75 * axis("radiation", 1, np.cos))
+    return (1.5 * axis("evanescent", 0), 0.75 * axis("evanescent", 1),
+            1.0 + 1.5 * axis("radiation", 0),
+            1.0 + 0.75 * axis("radiation", 1))
 
 
 def oracle_integrate(cfg: InterfaceConfig, dip: DipolePolarization,

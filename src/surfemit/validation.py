@@ -1,12 +1,14 @@
 """The check suite behind `surfemit validate`, and the check-only routes.
 
 The computation modules hold the closed forms that rates, grids and
-patterns use.  What exists only to check them lives here: mode geometry
-(ModePoint, unit polarizations, ellipticity, spin density and field
-profile of one mode), the kappa -> 1 limit of the densities, the three
-routes to delta_f (among them the paper's spin-orbit overlap of dipole
-and mode ellipticity), and the scalar/vector/tensor split of a coupling,
-which the checks apply to the package's own p modes.
+patterns use.  What exists only to check them lives here: the geometry
+of one p mode (unit polarization, ellipticity, spin density and field
+profile, each a function of (cfg, branch, xi, phi, x_nm)), the
+kappa -> 1 limit of the densities, the three routes to delta_f (among
+them the paper's spin-orbit overlap of dipole and mode ellipticity), and
+the scalar/vector/tensor split of a coupling, which the checks apply to
+the package's own p modes.  An s mode needs no route: its polarization
+is the real Khat x xhat (khat_cross_xhat) and carries no spin.
 
 CHECKS is the ordered list of checks.  Each draws from its own generator,
 seeded by the suite seed and its name, so `surfemit validate` and the
@@ -26,48 +28,12 @@ import numpy as np
 from .density import (CHANNELS, DipolePolarization, _s_coupling, as_cvector,
                       channel_density, delta_f, ellipticity_vector, f_evan,
                       f_rad, pattern)
-from .optics import (_EDGE_TOL, InterfaceConfig, _bounded, _transmission,
-                     fresnel, transmittance)
+from .optics import (InterfaceConfig, _bounded, _transmission, fresnel,
+                     transmittance)
 from .quadrature import QuadratureSpec
 from .rates import oracle_integrate, rate_report
 
 DEFAULT_SEED = 20260817
-
-@dataclass(frozen=True)
-class ModePoint:
-    """One point of the interface mode continuum.
-
-    branch is 'evanescent' or 'radiation', xi the out-of-plane coordinate,
-    phi the in-plane azimuth, q the polarization label ('s' or 'p') and j
-    the input-side index (1 = incident from the dielectric, 2 = from
-    vacuum).  Evanescent modes only exist for j = 1.
-    """
-
-    branch: str
-    xi: float
-    phi: float
-    q: str
-    j: int
-
-    def __post_init__(self):
-        if self.branch not in ("evanescent", "radiation"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if self.q not in ("s", "p"):
-            raise ValueError(f"polarization q must be 's' or 'p', got {self.q!r}")
-        if self.j not in (1, 2):
-            raise ValueError(f"input side j must be 1 or 2, got {self.j!r}")
-        if self.xi < 0:
-            raise ValueError(f"xi must be nonnegative, got {self.xi}")
-        if self.branch == "evanescent" and self.j != 1:
-            raise ValueError("evanescent modes are incident from the dielectric (j=1)")
-        if self.branch == "radiation" and self.xi > 1.0 + _EDGE_TOL:
-            raise ValueError(f"radiation branch needs xi <= 1, got {self.xi}")
-
-    @property
-    def kappa(self) -> float:
-        if self.branch == "evanescent":
-            return float(np.sqrt(1.0 + self.xi ** 2))
-        return float(np.sqrt(max(1.0 - self.xi ** 2, 0.0)))
 
 
 def khat(phi) -> np.ndarray:
@@ -89,21 +55,18 @@ def brewster_xi(cfg: InterfaceConfig) -> float:
     return float(1.0 / np.sqrt(cfg.n1 ** 2 + 1.0))
 
 
-def _require_p(point: ModePoint, what: str):
-    if point.q != "p":
-        raise ValueError(
-            f"{what} is defined for p modes; the s mode is linearly polarized "
-            "along Khat x xhat (use mode_polarization_s)")
-
-
-def _mode_xi(cfg: InterfaceConfig, point: ModePoint, what: str) -> float:
-    """xi of a p-mode point, bounded to its branch; the radiation branch
-    provides j=2 modes only."""
-    if point.branch == "evanescent":
-        return float(_bounded(point.xi, cfg.xi_max, what))
-    if point.j != 2:
-        raise ValueError(f"radiation-branch {what} is provided for j=2 modes")
-    return float(_bounded(point.xi, 1.0, what))
+def _mode_xi(cfg: InterfaceConfig, branch: str, xi, what: str):
+    """(xi, kappa) of the p mode at xi, xi bounded to its branch: kappa is
+    sqrt(1 + xi^2) on the evanescent branch and sqrt(1 - xi^2) on the
+    radiation branch, whose modes are the j=2 ones (incident from
+    vacuum)."""
+    if branch == "evanescent":
+        xi = float(_bounded(xi, cfg.xi_max, what))
+        return xi, float(np.sqrt(1.0 + xi ** 2))
+    if branch == "radiation":
+        xi = float(_bounded(xi, 1.0, what))
+        return xi, float(np.sqrt(1.0 - xi ** 2))
+    raise ValueError(f"unknown branch {branch!r}")
 
 
 def interference_norm(cfg: InterfaceConfig, xi, x_nm: float):
@@ -118,30 +81,22 @@ def interference_norm(cfg: InterfaceConfig, xi, x_nm: float):
         2.0 * xi * cfg.k0_nm * x_nm)
 
 
-def mode_polarization_s(point: ModePoint) -> np.ndarray:
-    """Unit polarization of an s mode: the real vector Khat x xhat."""
-    if point.q != "s":
-        raise ValueError("mode_polarization_s expects an s-mode point")
-    return khat_cross_xhat(point.phi)
-
-
-def mode_polarization_p(cfg: InterfaceConfig, point: ModePoint, x_nm: float) -> np.ndarray:
-    """Unit polarization of the p mode at the emitter height x_nm.
+def mode_polarization_p(cfg: InterfaceConfig, branch: str, xi, phi,
+                        x_nm: float) -> np.ndarray:
+    """Unit polarization of the p mode (xi, phi) of a branch at the
+    emitter height x_nm.  (The s mode's is the real Khat x xhat.)
 
     Evanescent branch (j=1): (kappa xhat - i xi Khat)/sqrt(1 + 2 xi^2),
     independent of x up to the overall decaying scalar.
     Radiation branch (j=2): the two-wave superposition
     [kappa xhat + xi Khat + r_p e^{2 i xi k0 x} (kappa xhat - xi Khat)]/sqrt(Z).
 
-    Raises for s-mode points, for radiation j=1 (transmitted plane wave,
-    real polarization) and for the degenerate radiation point xi = 0.
+    Raises for the degenerate radiation point xi = 0.
     """
-    _require_p(point, "mode_polarization_p")
-    xi = _mode_xi(cfg, point, "mode_polarization_p")
-    kv = khat(point.phi)
+    xi, kappa = _mode_xi(cfg, branch, xi, "mode_polarization_p")
+    kv = khat(phi)
     xv = np.array([1.0, 0.0, 0.0])
-    kappa = point.kappa
-    if point.branch == "evanescent":
+    if branch == "evanescent":
         return (kappa * xv - 1j * xi * kv) / np.sqrt(1.0 + 2.0 * xi ** 2)
     if xi == 0.0:
         raise ValueError("radiation p2 polarization is degenerate at xi = 0 (Z = 0)")
@@ -152,7 +107,8 @@ def mode_polarization_p(cfg: InterfaceConfig, point: ModePoint, x_nm: float) -> 
     return vec / np.sqrt(z)
 
 
-def mode_ellipticity(cfg: InterfaceConfig, point: ModePoint, x_nm: float) -> np.ndarray:
+def mode_ellipticity(cfg: InterfaceConfig, branch: str, xi, phi,
+                     x_nm: float) -> np.ndarray:
     """The real vector i [eps* x eps] of the p-mode unit polarization.
 
     Same convention as density.ellipticity_vector, so this equals
@@ -160,25 +116,26 @@ def mode_ellipticity(cfg: InterfaceConfig, point: ModePoint, x_nm: float) -> np.
     evanescent, -2 xi sqrt(1 + xi^2)/(1 + 2 xi^2) (Khat x xhat);
     radiation, -(4/Z) xi sqrt(1 - xi^2) r_p sin(2 xi k0 x) (Khat x xhat).
     """
-    _require_p(point, "mode_ellipticity")
-    xi = _mode_xi(cfg, point, "mode_ellipticity")
-    tv = khat_cross_xhat(point.phi)
-    if point.branch == "evanescent":
-        return (-2.0 * xi * np.sqrt(1.0 + xi ** 2) / (1.0 + 2.0 * xi ** 2)) * tv
+    xi, kappa = _mode_xi(cfg, branch, xi, "mode_ellipticity")
+    tv = khat_cross_xhat(phi)
+    if branch == "evanescent":
+        return (-2.0 * xi * kappa / (1.0 + 2.0 * xi ** 2)) * tv
     if xi == 0.0:
         raise ValueError("radiation p2 ellipticity is degenerate at xi = 0 (Z = 0)")
     _, r_p = fresnel(cfg, xi)
     z = float(interference_norm(cfg, xi, x_nm))
-    return (-4.0 / z) * xi * np.sqrt(1.0 - xi ** 2) * r_p * np.sin(
+    return (-4.0 / z) * xi * kappa * r_p * np.sin(
         2.0 * xi * cfg.k0_nm * x_nm) * tv
 
 
-def spin_density(cfg: InterfaceConfig, point: ModePoint, x_nm: float) -> np.ndarray:
-    """Local electric spin density of one mode at the emitter position.
+def spin_density(cfg: InterfaceConfig, branch: str, xi, phi,
+                 x_nm: float) -> np.ndarray:
+    """Local electric spin density of the p mode (xi, phi) of a branch at
+    the emitter position.  (s modes carry none: their polarization is
+    real.)
 
     Normalized per unit field energy density of the incident wave, with
-    the conventional eps0/omega prefactor divided out.  s modes carry no
-    electric spin (a real polarization), so the zero vector is returned.
+    the conventional eps0/omega prefactor divided out.
 
     Evanescent p modes:
         (T_p/xi) eta xi sqrt(1+xi^2) e^{-2 xi k0 x} (Khat x xhat),
@@ -186,33 +143,30 @@ def spin_density(cfg: InterfaceConfig, point: ModePoint, x_nm: float) -> np.ndar
     radiation p modes (j=2):
         xi sqrt(1-xi^2) r_p sin(2 xi k0 x) (Khat x xhat).
     """
-    if point.q == "s":
-        return np.zeros(3)
-    xi = _mode_xi(cfg, point, "spin_density")
-    tv = khat_cross_xhat(point.phi)
-    if point.branch == "evanescent":
+    xi, kappa = _mode_xi(cfg, branch, xi, "spin_density")
+    tv = khat_cross_xhat(phi)
+    if branch == "evanescent":
         eta, _, tp_over_xi = _transmission(cfg, xi)
-        return tp_over_xi * eta * xi * np.sqrt(1.0 + xi ** 2) * np.exp(
+        return tp_over_xi * eta * xi * kappa * np.exp(
             -2.0 * xi * cfg.k0_nm * x_nm) * tv
     _, r_p = fresnel(cfg, xi)
-    return xi * np.sqrt(1.0 - xi ** 2) * r_p * np.sin(
-        2.0 * xi * cfg.k0_nm * x_nm) * tv
+    return xi * kappa * r_p * np.sin(2.0 * xi * cfg.k0_nm * x_nm) * tv
 
 
-def mode_field_p(cfg: InterfaceConfig, point: ModePoint, x_nm: float) -> np.ndarray:
-    """Unnormalized p-mode field profile at the emitter height.
+def mode_field_p(cfg: InterfaceConfig, branch: str, xi, phi,
+                 x_nm: float) -> np.ndarray:
+    """Unnormalized field profile of the p mode (xi, phi) of a branch at
+    the emitter height.
 
     Evanescent (j=1): e^{-xi k0 x} t_p (kappa xhat - i xi Khat) with the
     transmission amplitude t_p = 2 n1 eta / (eta + i n1^2 xi).
     Radiation (j=2): e^{-i xi k0 x} (kappa xhat + xi Khat)
                      + r_p e^{i xi k0 x} (kappa xhat - xi Khat).
     """
-    _require_p(point, "mode_field_p")
-    xi = _mode_xi(cfg, point, "mode_field_p")
-    kv = khat(point.phi)
+    xi, kappa = _mode_xi(cfg, branch, xi, "mode_field_p")
+    kv = khat(phi)
     xv = np.array([1.0, 0.0, 0.0])
-    kappa = point.kappa
-    if point.branch == "evanescent":
+    if branch == "evanescent":
         eta = _transmission(cfg, xi)[0]
         t_p = 2.0 * cfg.n1 * eta / (eta + 1j * cfg.n1 ** 2 * xi)
         return np.exp(-xi * cfg.k0_nm * x_nm) * t_p * (kappa * xv - 1j * xi * kv)
@@ -274,15 +228,6 @@ def decompose_coupling(d, e, n: float) -> RateDecomposition:
     return RateDecomposition(n / 3.0 * tr_a * tr_b, vector, tensor)
 
 
-def _p_mode(cfg: InterfaceConfig, xi: float, phi: float, evan: bool):
-    """The p mode at (xi, phi), j = 2 on the radiation branch, and its
-    norm, eta or xi: 3/(8 pi norm) |u . U|^2, U the mode's field profile,
-    is f_evan's p density or f_rad_p2."""
-    norm = float(_transmission(cfg, xi)[0]) if evan else xi
-    return ModePoint("evanescent" if evan else "radiation", xi, phi, "p",
-                     1 if evan else 2), norm
-
-
 def delta_f_equivalences(cfg: InterfaceConfig, dip: DipolePolarization,
                          xi: float, phi: float, x_nm: float, branch: str):
     """Three independent routes to the same central-inversion difference.
@@ -302,14 +247,15 @@ def delta_f_equivalences(cfg: InterfaceConfig, dip: DipolePolarization,
         raise ValueError(f"unknown branch {branch!r}")
     evan = branch == "evanescent"
     closed = float(delta_f(cfg, dip, xi, phi, x_nm, "evan" if evan else "rad"))
-    point, norm = _p_mode(cfg, xi, phi, evan)
+    # 3/(8 pi norm) |u . U|^2 is the p density, norm eta or xi
+    norm = float(_transmission(cfg, xi)[0]) if evan else xi
     if norm <= 0.0:
         return closed, 0.0, 0.0
-    field = mode_field_p(cfg, point, x_nm)
+    field = mode_field_p(cfg, branch, xi, phi, x_nm)
     cross = 2.0 * decompose_coupling(
         dip.u, field, 3.0 / (8.0 * np.pi * norm)).vector_part
     spin = float((3.0 / (2.0 * np.pi * norm)) * np.dot(
-        ellipticity_vector(dip.u), spin_density(cfg, point, x_nm)))
+        ellipticity_vector(dip.u), spin_density(cfg, branch, xi, phi, x_nm)))
     return closed, cross, spin
 
 
@@ -344,16 +290,19 @@ def _check_mode_coupling(cfg, rng, quad, real=False):
     # mode's density (f_evan's p part or f_rad_p2) and twice the vector
     # part is delta_f, exactly 0 for a real dipole.  Residuals scale by the
     # parts' size N |u|^2 |U|^2, which the density can be far below,
-    # floored at 1e-300 where e^{-xi k0 x} underflows at a large index
+    # floored at 1e-300.  x stays below 4.65/(k0 max(xi_max, 1)), 600 nm
+    # at n1 = 1.45, so e^{-xi k0 x} >= e^{-4.65} keeps the evanescent
+    # couplings above that floor at any index
     worst = 0.0
     for _ in range(25):
         dip = _random_dipole(rng, real)
-        x = rng.uniform(0.0, 600.0)
+        x = rng.uniform(0.0, 4.65) / (cfg.k0_nm * max(cfg.xi_max, 1.0))
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        for evan in (True, False):
+        for branch, evan in (("evanescent", True), ("radiation", False)):
             xi = _branch_xi(rng, cfg.xi_max if evan else 1.0)
-            point, norm = _p_mode(cfg, xi, phi, evan)
-            dec = decompose_coupling(dip.u, mode_field_p(cfg, point, x),
+            norm = float(_transmission(cfg, xi)[0]) if evan else xi
+            dec = decompose_coupling(dip.u,
+                                     mode_field_p(cfg, branch, xi, phi, x),
                                      3.0 / (8.0 * np.pi * norm))
             density = float(f_evan(cfg, dip, xi, phi, x)[1] if evan
                             else f_rad(cfg, dip, xi, phi, x).f_rad_p2)
@@ -393,13 +342,9 @@ def _check_mode_polarizations_unit(cfg, rng, quad):
         phi = rng.uniform(0.0, 2.0 * np.pi)
         x = rng.uniform(0.0, 400.0)
         xi_e, xi_r = _branch_xi(rng, cfg.xi_max), rng.uniform(1e-3, 1.0)
-        for point in (ModePoint("evanescent", xi_e, phi, "s", 1),
-                      ModePoint("radiation", xi_r, phi, "s",
-                                int(rng.integers(1, 3))),
-                      ModePoint("evanescent", xi_e, phi, "p", 1),
-                      ModePoint("radiation", xi_r, phi, "p", 2)):
-            e = (mode_polarization_s(point) if point.q == "s"
-                 else mode_polarization_p(cfg, point, x))
+        for e in (khat_cross_xhat(phi),
+                  mode_polarization_p(cfg, "evanescent", xi_e, phi, x),
+                  mode_polarization_p(cfg, "radiation", xi_r, phi, x)):
             worst = max(worst, abs(float(np.sum(np.abs(e) ** 2)) - 1.0))
     return worst < 1e-12, f"max |norm-1| {worst:.3e}"
 
@@ -408,10 +353,9 @@ def _check_spin_transverse(cfg, rng, quad):
     worst = 0.0
     for _ in range(20):
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        point = ModePoint("evanescent", _branch_xi(rng, cfg.xi_max), phi,
-                          "p", 1)
-        s = spin_density(cfg, point, 0.0)
-        e = mode_polarization_p(cfg, point, 0.0)
+        xi = _branch_xi(rng, cfg.xi_max)
+        s = spin_density(cfg, "evanescent", xi, phi, 0.0)
+        e = mode_polarization_p(cfg, "evanescent", xi, phi, 0.0)
         ell = ellipticity_vector(e)
         worst = max(worst, abs(float(np.dot(s, khat(phi)))))
         cross = np.linalg.norm(np.cross(s, ell))

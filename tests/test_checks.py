@@ -25,8 +25,10 @@ KNOWN_FAILURES = {
     ("delta_equivalence_routes", 1.0 + 1e-6): _FIELD_ROUTE,
     ("delta_equivalence_routes", 1.001): _FIELD_ROUTE,
     ("rate_composition", 1.0 + 1e-9): (
-        "ROADMAP item 9: a composition identity misses 1e-9 at "
-        "n1 = 1 + 1e-9; the cause is not established"),
+        "ROADMAP item 9: delta_rad_vac is formed as delta_rad - "
+        "delta_rad_mat, so delta_rad_mat + delta_rad_vac gives back "
+        "delta_rad only to an ulp of delta_rad_mat, 1.2e-8 of delta_rad "
+        "at n1 = 1 + 1e-9"),
 }
 
 

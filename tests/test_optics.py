@@ -3,10 +3,10 @@ import pytest
 
 from surfemit.density import ellipticity_vector
 from surfemit.optics import InterfaceConfig, fresnel, transmittance
-from surfemit.validation import (ModePoint, brewster_xi, interference_norm,
-                                 khat, khat_cross_xhat, mode_ellipticity,
+from surfemit.validation import (brewster_xi, interference_norm, khat,
+                                 khat_cross_xhat, mode_ellipticity,
                                  mode_field_p, mode_polarization_p,
-                                 mode_polarization_s, spin_density)
+                                 spin_density)
 
 
 # the largest n1 whose fourth power is finite
@@ -99,47 +99,33 @@ def test_khat_conventions():
 
 
 def test_mode_point_validation(cfg):
-    with pytest.raises(ValueError, match="branch"):
-        ModePoint("guided", 0.5, 0.0, "s", 1)
-    with pytest.raises(ValueError, match="polarization"):
-        ModePoint("radiation", 0.5, 0.0, "u", 1)
-    with pytest.raises(ValueError, match="side"):
-        ModePoint("radiation", 0.5, 0.0, "s", 3)
-    with pytest.raises(ValueError, match="nonnegative"):
-        ModePoint("radiation", -0.5, 0.0, "s", 1)
-    with pytest.raises(ValueError, match="dielectric"):
-        ModePoint("evanescent", 0.5, 0.0, "s", 2)
-    with pytest.raises(ValueError, match="xi"):
-        ModePoint("radiation", 1.5, 0.0, "s", 1)
-
-
-def test_mode_point_kappa(cfg):
-    assert ModePoint("evanescent", 0.6, 0.0, "p", 1).kappa == pytest.approx(
-        np.sqrt(1.36))
-    assert ModePoint("radiation", 0.6, 0.0, "p", 2).kappa == pytest.approx(0.8)
+    for route in (mode_polarization_p, mode_ellipticity, spin_density,
+                  mode_field_p):
+        with pytest.raises(ValueError, match="branch"):
+            route(cfg, "guided", 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="xi"):
+            route(cfg, "radiation", -0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="xi"):
+            route(cfg, "radiation", 1.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="xi"):
+            route(cfg, "evanescent", cfg.xi_max + 1e-6, 0.0, 0.0)
 
 
 def test_s_polarization_is_real_unit(cfg, rng):
     for _ in range(10):
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        point = ModePoint("evanescent", 0.4, phi, "s", 1)
-        e = mode_polarization_s(point)
-        assert np.allclose(e.imag if np.iscomplexobj(e) else 0.0, 0.0)
+        e = khat_cross_xhat(phi)
+        assert np.isrealobj(e)
         assert np.linalg.norm(e) == pytest.approx(1.0)
         assert abs(np.dot(e, khat(phi))) < 1e-14
         assert abs(e[0]) < 1e-14
 
 
 def test_p_polarization_raises_for_unsupported_points(cfg):
-    with pytest.raises(ValueError, match="s mode"):
-        mode_polarization_p(cfg, ModePoint("evanescent", 0.3, 0.0, "s", 1),
-                            0.0)
-    with pytest.raises(ValueError, match="j=2"):
-        mode_polarization_p(cfg, ModePoint("radiation", 0.3, 0.0, "p", 1),
-                            0.0)
     with pytest.raises(ValueError, match="degenerate"):
-        mode_polarization_p(cfg, ModePoint("radiation", 0.0, 0.0, "p", 2),
-                            0.0)
+        mode_polarization_p(cfg, "radiation", 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="degenerate"):
+        mode_ellipticity(cfg, "radiation", 0.0, 0.0, 0.0)
 
 
 def test_interference_norm_positive_and_matches_polarization(cfg):
@@ -154,36 +140,26 @@ def test_mode_ellipticity_matches_brute_force(cfg, rng):
         phi = rng.uniform(0.0, 2.0 * np.pi)
         x = rng.uniform(0.0, 300.0)
         if rng.random() < 0.5:
-            point = ModePoint("evanescent",
-                              rng.uniform(1e-3, cfg.xi_max - 1e-3), phi,
-                              "p", 1)
+            point = ("evanescent", rng.uniform(1e-3, cfg.xi_max - 1e-3), phi)
         else:
-            point = ModePoint("radiation", rng.uniform(1e-3, 1.0), phi,
-                              "p", 2)
-        closed = mode_ellipticity(cfg, point, x)
-        brute = ellipticity_vector(mode_polarization_p(cfg, point, x))
+            point = ("radiation", rng.uniform(1e-3, 1.0), phi)
+        closed = mode_ellipticity(cfg, *point, x)
+        brute = ellipticity_vector(mode_polarization_p(cfg, *point, x))
         assert np.allclose(closed, brute, atol=1e-13)
-
-
-def test_spin_density_zero_for_s_modes(cfg):
-    point = ModePoint("evanescent", 0.5, 1.0, "s", 1)
-    assert np.allclose(spin_density(cfg, point, 50.0), 0.0)
 
 
 def test_spin_reverses_with_inplane_direction(cfg, rng):
     for _ in range(8):
         phi = rng.uniform(0.0, 2.0 * np.pi)
         xi = rng.uniform(1e-3, cfg.xi_max - 1e-3)
-        a = spin_density(cfg, ModePoint("evanescent", xi, phi, "p", 1), 70.0)
-        b = spin_density(cfg, ModePoint("evanescent", xi, phi + np.pi, "p", 1),
-                         70.0)
+        a = spin_density(cfg, "evanescent", xi, phi, 70.0)
+        b = spin_density(cfg, "evanescent", xi, phi + np.pi, 70.0)
         assert np.allclose(a, -b, atol=1e-14)
 
 
 def test_mode_field_reduces_to_polarization_times_amplitude(cfg):
-    point = ModePoint("evanescent", 0.6, 0.7, "p", 1)
     x = 120.0
-    field = mode_field_p(cfg, point, x)
-    pol = mode_polarization_p(cfg, point, x)
+    field = mode_field_p(cfg, "evanescent", 0.6, 0.7, x)
+    pol = mode_polarization_p(cfg, "evanescent", 0.6, 0.7, x)
     overlap = np.vdot(pol, field)
     assert np.linalg.norm(field - overlap * pol) < 1e-12 * np.linalg.norm(field)

@@ -9,10 +9,10 @@ from helpers import random_dipole, rel_err
 from surfemit import (DipolePolarization, InterfaceConfig, QuadratureSpec,
                       SweepRequest, axis_rates, oracle_integrate, rate_report,
                       sweep_rates)
-from surfemit.density import CHANNELS
+from surfemit.density import CHANNELS, delta_f, f_evan, f_rad
 from surfemit.optics import fresnel, transmittance
-from surfemit.rates import (RateReport, _zeta, axis_coefficients,
-                            rate_columns)
+from surfemit.rates import (RateReport, _stacked_integrand, _zeta,
+                            axis_coefficients, rate_columns)
 
 
 def sweep(cfg, dip, xs):
@@ -126,6 +126,43 @@ def test_axis_coefficients_match_kernels(cfg):
     assert par == pytest.approx(r_s - xi ** 2 * r_p, rel=1e-15)
     with pytest.raises(ValueError):
         axis_coefficients(cfg, xi, "bound")
+
+
+@pytest.mark.parametrize("n1", [1.2, 1.45, 2.5, 100.0])
+def test_phi_integrals_of_the_densities_are_the_rate_kernels(n1, rng):
+    # at each xi, a 16-node Gauss rule in phi integrates xi f over the
+    # circle to 3/4 of the rate row of _stacked_integrand (plus the
+    # free-space term on the radiation branch) and xi delta_f over the
+    # half circle to (6/pi) Im(u_x* u_z) times the side row.  Residuals
+    # scale by the largest term of the circle integral: the side rows
+    # are differences of densities of that size
+    cfg = InterfaceConfig(n1, 852.0)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    worst = 0.0
+    for _ in range(10):
+        dip = random_dipole(rng)
+        ux2 = abs(dip.u[0]) ** 2
+        im_xz = np.imag(np.conj(dip.u[0]) * dip.u[2])
+        x = rng.uniform(0.0, 4.65) / (cfg.k0_nm * max(cfg.xi_max, 1.0))
+        for branch, top in (("evanescent", cfg.xi_max), ("radiation", 1.0)):
+            xi = top * rng.uniform(1e-3, 1.0 - 1e-3, 8)
+            rate, side = _stacked_integrand(
+                cfg, ux2, branch, np.array([[2.0 * cfg.k0_nm * x]]))(xi)[:, 0]
+            phi, w = np.pi * (nodes + 1.0), np.pi * weights
+            if branch == "evanescent":
+                channel, free = "evan", 0.0
+                f = f_evan(cfg, dip, xi[:, None], phi, x)[2]
+            else:
+                channel = "rad"
+                free = (1.0 - ux2) * (1.0 + xi ** 2) + 2.0 * ux2 * (1.0 - xi ** 2)
+                f = f_rad(cfg, dip, xi[:, None], phi, x).f_rad
+            size = 0.75 * (free + np.abs(rate))
+            worst = max(worst, np.max(
+                np.abs(xi * (f @ w) - 0.75 * (free + rate)) / size))
+            half = delta_f(cfg, dip, xi[:, None], phi / 2.0, x, channel)
+            worst = max(worst, np.max(np.abs(
+                xi * (half @ w) / 2.0 - 6.0 / np.pi * im_xz * side) / size))
+    assert worst < 1e-13
 
 
 def test_deltas_depend_only_on_im_uxuz(cfg, rng):
